@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--shards", type=int, default=0, metavar="K",
         help="partition the fleet into K shard engines coordinated in"
-        " windows (0 = single-process simulation)",
+        " windows (0 = one shard with exact per-request records)",
     )
     cluster.add_argument(
         "--window-ms", type=float, default=0.0, metavar="W",

@@ -1,4 +1,8 @@
-"""Multi-chip cluster serving: sharded Bishop fleets on one engine clock.
+"""Multi-chip cluster serving: Bishop fleets in shards, advanced in windows.
+
+One simulator: a coordinator advances shards of the fleet window by
+window.  :func:`simulate_cluster` is one shard with exact per-request
+records; :func:`simulate_cluster_sharded` runs K shards on sketches.
 
 ``fleet``
     Chip kinds (standard / sparse-heavy / dense-heavy), model placement,
@@ -9,18 +13,21 @@
 ``admission``
     Bounded per-chip queues and load shedding.
 ``autoscale``
-    Reactive replica scaling from queue-pressure signals.
+    Queue-pressure autoscaler parameters and scaling events.
+``sharding``
+    :class:`ShardState` and the window coordinator (shard routing,
+    autoscaler loop, SLO and alert monitors).
 ``simulate``
-    :class:`ClusterSimulation`: N chips + router (+ autoscaler) on one
-    shared discrete-event engine.
+    :class:`ClusterSimulation`: the whole fleet as one inline shard.
 ``report``
     Fleet-aggregate and per-chip statistics, reusing the serving layer's
     percentile machinery.
 
-Registered experiments: ``cluster_scaling_curve`` and
-``cluster_routing_ablation`` (see ``repro.harness.experiments``);
-docs/CLUSTER.md describes the fleet model, routing policies, and
-autoscaler semantics.
+Registered experiments: ``cluster_scaling_curve``,
+``cluster_routing_ablation``, ``cluster_multitenant_fairness``,
+``cluster_planet_scale`` and ``cluster_sharding_bench`` (see
+``repro.harness.experiments``); docs/CLUSTER.md describes the fleet
+model, routing policies, and autoscaler semantics.
 """
 
 from .admission import (
@@ -29,7 +36,7 @@ from .admission import (
     TenantAdmission,
     eligible_chips,
 )
-from .autoscale import AutoscaleConfig, Autoscaler, ScalingEvent
+from .autoscale import AutoscaleConfig, ScalingEvent
 from .fleet import (
     CHIP_KINDS,
     ChipSpec,
@@ -46,7 +53,6 @@ from .report import (
     ClusterReport,
     ShardChipStats,
     WindowStats,
-    build_cluster_report,
     build_sharded_cluster_report,
     tenant_report,
 )
@@ -72,7 +78,6 @@ from .simulate import ClusterSimulation, simulate_cluster
 __all__ = [
     "AdmissionConfig",
     "AutoscaleConfig",
-    "Autoscaler",
     "CHIP_KINDS",
     "ChipReport",
     "ChipSpec",
@@ -94,7 +99,6 @@ __all__ = [
     "TenantAdmission",
     "WindowDigest",
     "WindowStats",
-    "build_cluster_report",
     "build_sharded_cluster_report",
     "chip_config",
     "eligible_chips",

@@ -57,22 +57,20 @@ class TenantAdmission:
 
     ``admit`` reserves a slot when the tenant is under quota; ``release``
     returns it on completion.  Tenants without a declared quota (or
-    requests with no tenant tag) are always admitted.  Both the
-    single-process router and each shard's feed loop enforce quotas
-    through one of these — in sharded runs the quota is per shard, since
-    shards admit independently between coordination windows.
+    requests with no tenant tag) are always admitted.  Each shard's feed
+    loop enforces quotas through one of these — with K shards the quota
+    is per shard, since shards admit independently between coordination
+    windows.
     """
 
     def __init__(self, tenants: tuple[TenantSpec, ...] = ()):
         self.quotas = {t.name: t.quota for t in tenants if t.quota is not None}
         self.outstanding: dict[str, int] = {t.name: 0 for t in tenants}
-        self.shed: dict[str, int] = {}
 
     def admit(self, request: Request) -> bool:
         tenant = request.tenant
         quota = self.quotas.get(tenant)
         if quota is not None and self.outstanding.get(tenant, 0) >= quota:
-            self.shed[tenant] = self.shed.get(tenant, 0) + 1
             return False
         if tenant:
             self.outstanding[tenant] = self.outstanding.get(tenant, 0) + 1

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..arch.engine.timeline import EngineRun
 from ..serve.report import ServedRequest, latency_stats, slo_block
-from ..serve.simulate import ChipServer
 from ..serve.sketch import LatencySketch
 from ..serve.workload import TenantSpec
 from .admission import ShedRecord
@@ -25,7 +24,6 @@ __all__ = [
     "ClusterReport",
     "ShardChipStats",
     "WindowStats",
-    "build_cluster_report",
     "build_sharded_cluster_report",
     "tenant_report",
 ]
@@ -201,7 +199,7 @@ class ClusterReport:
     requests: tuple[ServedRequest, ...] = field(default_factory=tuple, repr=False)
     shed_records: tuple[ShedRecord, ...] = field(default_factory=tuple, repr=False)
     run: EngineRun | None = field(default=None, repr=False)
-    # Sharded runs only (defaults keep the single-process path unchanged).
+    # K-shard runs only (the one-shard entry reports no window series).
     num_shards: int = 1
     window_s: float | None = None
     windows: tuple[WindowStats, ...] = field(default_factory=tuple, repr=False)
@@ -276,108 +274,7 @@ class ClusterReport:
         return payload
 
 
-def _chip_report(chip: ChipServer, horizon_s: float, static_pj_per_s: float) -> ChipReport:
-    span = chip.active_span_s(horizon_s)
-    batch_sizes = [r.batch_size for r in chip.served]
-    return ChipReport(
-        name=chip.name or "chip",
-        kind=chip.kind,
-        models=tuple(sorted(chip.profiles)),
-        requests_served=len(chip.served),
-        mean_batch_size=float(np.mean(batch_sizes)) if batch_sizes else 0.0,
-        utilization={
-            unit: resource.stats.utilization(span, resource.capacity)
-            for unit, resource in chip.machine.resources.items()
-        },
-        dynamic_energy_mj=chip.dynamic_energy_pj * 1e-9,
-        static_energy_mj=static_pj_per_s * span * 1e-9,
-        active_span_s=span,
-        added_s=chip.started_s,
-        drained=chip.drained_s is not None and not chip.accepting,
-    )
-
-
-def build_cluster_report(
-    chips: list[ChipServer],
-    shed: list[ShedRecord],
-    offered_rps: float,
-    policy: str,
-    queue_capacity: int | None,
-    initial_chips: int,
-    scaling_events: list[ScalingEvent],
-    static_pj_per_s: float,
-    run: EngineRun | None = None,
-    tenants: tuple[TenantSpec, ...] = (),
-    tenant_shed: dict[str, int] | None = None,
-) -> ClusterReport:
-    served = sorted(
-        (r for chip in chips for r in chip.served), key=lambda r: r.index
-    )
-    tenant_shed = dict(tenant_shed or {})
-    tenant_sketches: dict[str, LatencySketch] = {
-        spec.name: LatencySketch() for spec in tenants
-    }
-    tenant_service: dict[str, float] = {
-        spec.name: 0.0 for spec in tenants
-    }
-    for chip in chips:
-        for tenant, service in chip.tenant_service_s.items():
-            if tenant:
-                tenant_service[tenant] = (
-                    tenant_service.get(tenant, 0.0) + service
-                )
-    for record in served:
-        if record.tenant:
-            sketch = tenant_sketches.setdefault(record.tenant, LatencySketch())
-            sketch.add(record.latency_s)
-    tenant_blocks = (
-        tenant_report(tenants, tenant_sketches, tenant_shed, tenant_service)
-        if tenants or tenant_sketches or tenant_shed
-        else {}
-    )
-    stats = latency_stats([r.latency_s for r in served])
-    waits = np.array([r.queue_wait_s for r in served])
-    horizon = max((r.finish_s for r in served), default=0.0)
-    chip_reports = {
-        report.name: report
-        for report in (
-            _chip_report(chip, horizon, static_pj_per_s) for chip in chips
-        )
-    }
-    shed_by_model: dict[str, int] = {}
-    for record in shed:
-        shed_by_model[record.model] = shed_by_model.get(record.model, 0) + 1
-    return ClusterReport(
-        num_requests=len(served) + len(shed),
-        served=len(served),
-        shed=len(shed),
-        offered_rps=offered_rps,
-        horizon_s=horizon,
-        throughput_rps=len(served) / horizon if horizon > 0 else 0.0,
-        latency_percentiles_ms=stats.percentiles_ms,
-        latency_mean_ms=stats.mean_ms,
-        latency_max_ms=stats.max_ms,
-        queue_wait_mean_ms=float(waits.mean()) * 1e3 if served else 0.0,
-        policy=policy,
-        queue_capacity=queue_capacity,
-        initial_chips=initial_chips,
-        final_accepting_chips=sum(1 for chip in chips if chip.accepting),
-        chips=chip_reports,
-        shed_by_model=shed_by_model,
-        scaling_events=tuple(scaling_events),
-        dynamic_energy_mj=sum(chip.dynamic_energy_pj for chip in chips) * 1e-9,
-        static_energy_mj=sum(
-            report.static_energy_mj for report in chip_reports.values()
-        ),
-        requests=tuple(served),
-        shed_records=tuple(shed),
-        run=run,
-        tenants=tenant_blocks,
-        tenant_sketches=tenant_sketches,
-    )
-
-
-def _sharded_chip_report(
+def _chip_row(
     stats: ShardChipStats, horizon_s: float, static_pj_per_s: float
 ) -> ChipReport:
     span = stats.active_span_s(horizon_s)
@@ -417,7 +314,7 @@ def build_sharded_cluster_report(
     scaling_events: list[ScalingEvent],
     static_pj_per_s: float,
     num_shards: int,
-    window_s: float,
+    window_s: float | None,
     windows: list[WindowStats],
     slo_ms: float | None = None,
     slo_summary: dict | None = None,
@@ -426,19 +323,39 @@ def build_sharded_cluster_report(
     tenant_latency: dict[str, LatencySketch] | None = None,
     tenant_shed: dict[str, int] | None = None,
     tenant_service_s: dict[str, float] | None = None,
+    requests: tuple[ServedRequest, ...] | None = None,
+    run: EngineRun | None = None,
 ) -> ClusterReport:
-    """The sharded counterpart of :func:`build_cluster_report`.
+    """The cluster report: per-chip counters plus one latency source.
 
-    Built from merged shard digests instead of ``ServedRequest`` lists:
-    latency statistics come from the fleet's merged
+    Per-chip rows come from :class:`ShardChipStats` counters.  Latency
+    statistics come from exact ``requests`` records when the run kept
+    them (the one-shard :func:`~repro.cluster.simulate_cluster` entry:
+    exact percentiles, per-tenant sketches rebuilt in request order),
+    otherwise from the fleet's merged
     :class:`~repro.serve.sketch.LatencySketch` (bounded-error
-    percentiles, exact count/mean/max), per-chip rows from
-    :class:`ShardChipStats` counters.  ``shed_records`` carries only the
-    coordinator-level sheds (models no accepting shard hosts);
-    shard-level sheds are counted in ``shed_total`` / ``shed_by_model``.
+    percentiles, exact count/mean/max).  ``shed_records`` carries every
+    shed the run recorded; ``shed_total`` / ``shed_by_model`` count them
+    all.  A given ``run`` gets the serving horizon as its makespan and
+    the chips' dynamic + powered-span static energy.
     """
-    stats = latency_stats(latency)
+    if requests is not None:
+        stats = latency_stats([r.latency_s for r in requests])
+        wait_mean_ms = (
+            float(np.mean([r.queue_wait_s for r in requests])) * 1e3
+            if requests else 0.0
+        )
+        tenant_latency = {}
+        for record in requests:
+            if record.tenant:
+                tenant_latency.setdefault(
+                    record.tenant, LatencySketch()
+                ).add(record.latency_s)
+    else:
+        stats = latency_stats(latency)
+        wait_mean_ms = wait.mean_s * 1e3
     served = stats.count
+    tenant_shed = dict(tenant_shed or {})
     tenant_sketches = {
         spec.name: LatencySketch() for spec in tenants
     }
@@ -447,19 +364,26 @@ def build_sharded_cluster_report(
         tenant_report(
             tenants,
             tenant_sketches,
-            dict(tenant_shed or {}),
+            tenant_shed,
             dict(tenant_service_s or {}),
         )
-        if tenants or tenant_sketches
+        if tenants or tenant_sketches or tenant_shed
         else {}
     )
     chip_reports = {
         report.name: report
         for report in (
-            _sharded_chip_report(chip, horizon_s, static_pj_per_s)
+            _chip_row(chip, horizon_s, static_pj_per_s)
             for chip in chip_stats
         )
     }
+    if run is not None:
+        run.makespan_s = horizon_s
+        run.energy_pj = sum(
+            chip.dynamic_energy_pj
+            + static_pj_per_s * chip.active_span_s(horizon_s)
+            for chip in chip_stats
+        )
     slo = None
     if slo_ms is not None:
         slo = slo_block(latency, slo_ms)
@@ -486,7 +410,7 @@ def build_sharded_cluster_report(
         latency_percentiles_ms=stats.percentiles_ms,
         latency_mean_ms=stats.mean_ms,
         latency_max_ms=stats.max_ms,
-        queue_wait_mean_ms=wait.mean_s * 1e3,
+        queue_wait_mean_ms=wait_mean_ms,
         policy=policy,
         queue_capacity=queue_capacity,
         initial_chips=initial_chips,
@@ -500,7 +424,9 @@ def build_sharded_cluster_report(
         static_energy_mj=sum(
             report.static_energy_mj for report in chip_reports.values()
         ),
+        requests=tuple(requests or ()),
         shed_records=tuple(shed_records),
+        run=run,
         num_shards=num_shards,
         window_s=window_s,
         windows=tuple(windows),

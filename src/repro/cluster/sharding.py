@@ -1,30 +1,37 @@
-"""Sharded fleet simulation: planet-scale clusters in bounded time windows.
+"""The cluster simulator: a fleet in shards, advanced in time windows.
 
-The single-process :class:`~repro.cluster.simulate.ClusterSimulation`
-shares one engine clock across every chip, so fleet size is bounded by
-one core's event throughput — and its front-end router scans the whole
-fleet per request.  This module partitions the fleet into **shards** that
-advance independently:
+One engine clock shared by every chip bounds fleet size by one core's
+event throughput, and a front-end router over the whole fleet scans
+every chip per request.  This module partitions the fleet into
+**shards** that advance independently:
 
 * :func:`partition_fleet` deals chips to shards round-robin (chip ``i``
   → shard ``i % num_shards``), preserving global chip names;
 * each :class:`ShardState` owns a private engine, its chips'
   :class:`~repro.serve.simulate.ChipServer` loops, and a shard-local
   routing policy; it advances in **windows** — ``step(requests, until)``
-  feeds one window's arrivals, runs its engine exactly to the window
-  edge (``Engine.run(until=...)``), and returns a picklable
+  applies the coordinator's autoscaler commands, feeds one window's
+  arrivals, runs its engine exactly to the window edge
+  (``Engine.run(until=...)``), and returns a picklable
   :class:`WindowDigest` of streaming latency sketches and counters;
-* the **coordinator** (:func:`simulate_cluster_sharded`) walks the
-  arrival stream window by window, assigns each request to a shard
-  (:data:`SHARD_POLICIES`), dispatches the window to every busy shard
-  through the :class:`~repro.runtime.executor.ShardPool` actor pool, and
-  merges the digests — driving the windowed autoscaler and the
-  SLO-attainment report between windows.
+* the **coordinator** walks the arrival stream window by window,
+  assigns each request to a shard (:data:`SHARD_POLICIES`), dispatches
+  the window to every busy shard through the
+  :class:`~repro.runtime.executor.ShardPool` actor pool, and merges the
+  digests — running the autoscaler control loop and the SLO and alert
+  monitors between windows.
+
+This is the only cluster simulator, with two entries.
+:func:`simulate_cluster_sharded` runs K shards and never keeps
+per-request lists.  :func:`~repro.cluster.simulate_cluster` is the
+**one-shard** case: the whole fleet in one inline shard, one window per
+autoscale interval (or one window spanning the arrival stream), with
+exact per-request records, shed records and the engine run kept.
 
 Chips are dealt round-robin (not in contiguous blocks) so that, with
 ``num_shards`` dividing the fleet size, shard-level round-robin over
-round-robin shards reproduces the global round-robin assignment *request
-for request* — the conformance anchor the sharded path is tested
+round-robin shards reproduces the one-shard round-robin assignment
+*request for request* — the conformance anchor K shards are tested
 against.  In-flight batches cross window boundaries naturally because a
 shard's engine state persists in its worker process between calls.
 
@@ -32,8 +39,8 @@ Determinism: the arrival trace is generated once by the coordinator
 (workload seeds are split with ``numpy.random.SeedSequence.spawn`` —
 see :func:`repro.serve.workload.spawn_seeds`), shard assignment is a
 pure function of the stream and prior digests, and digests merge in
-shard order — so a sharded run's report is independent of worker
-scheduling and, for the trace itself, of the shard count.
+shard order — so a run's report is independent of worker scheduling
+and, for the trace itself, of the shard count.
 """
 
 from __future__ import annotations
@@ -45,8 +52,10 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..arch.engine.kernel import Engine, Hold
 from ..arch.engine.machine import BishopMachine
+from ..arch.engine.timeline import EngineRun, TimelineEntry, merge_timelines
 from ..arch.energy import EnergyModel
 from ..serve.profiles import request_profile
+from ..serve.report import ServedRequest
 from ..serve.scheduler import SchedulerConfig
 from ..serve.simulate import ChipServer
 from ..serve.sketch import LatencySketch
@@ -65,7 +74,7 @@ from .report import (
     WindowStats,
     build_sharded_cluster_report,
 )
-from .routing import make_policy
+from .routing import RoutingPolicy, make_policy
 
 __all__ = [
     "SHARD_POLICIES",
@@ -151,7 +160,7 @@ class ShardInit:
     chip_kinds: tuple[str, ...]
     chip_models: tuple[tuple[str, ...] | None, ...]
     workload_models: tuple[str, ...]
-    policy: str
+    policy: str | RoutingPolicy     # instances only for inline shards
     scheduler: SchedulerConfig
     queue_capacity: int | None
     bs_t: int
@@ -159,6 +168,10 @@ class ShardInit:
     seed: int
     passes: str | None
     tenants: tuple[TenantSpec, ...] = ()
+    # Keep exact ServedRequest / ShedRecord lists and the engine run (the
+    # one-shard entry); fleet-scale shards stream into sketches instead.
+    record: bool = False
+    record_timeline: bool = False
 
 
 @dataclass(frozen=True)
@@ -209,6 +222,10 @@ class ShardFinal:
     tenant_latency: dict[str, LatencySketch] = field(default_factory=dict)
     tenant_shed: dict[str, int] = field(default_factory=dict)
     tenant_service_s: dict[str, float] = field(default_factory=dict)
+    # Recording shards only (ShardInit.record).
+    requests: tuple[ServedRequest, ...] = ()
+    shed_records: tuple[ShedRecord, ...] = ()
+    run: EngineRun | None = None
 
 
 class ShardState:
@@ -244,6 +261,11 @@ class ShardState:
         self._window_waits: list[float] = []
         self._window_served = 0
         self._window_shed = 0
+        self.records: list[ServedRequest] | None = [] if init.record else None
+        self.shed_records: list[ShedRecord] = []
+        self.timeline: list[TimelineEntry] | None = (
+            [] if init.record_timeline else None
+        )
         for name, kind, models in zip(
             init.chip_names, init.chip_kinds, init.chip_models
         ):
@@ -273,6 +295,7 @@ class ShardState:
             name=name,
             kind=kind,
             queue_capacity=init.queue_capacity,
+            timeline=self.timeline,
             recorder=self,
             tenants=init.tenants,
         )
@@ -280,26 +303,21 @@ class ShardState:
         return chip
 
     # -- ChipServer recorder seam -----------------------------------------
-    def observe(
-        self,
-        request: Request,
-        start_s: float,
-        finish_s: float,
-        batch_size: int,
-        chip: str,
-    ) -> None:
-        self._window_latencies.append(finish_s - request.arrival_s)
-        self._window_waits.append(start_s - request.arrival_s)
+    def observe(self, record: ServedRequest) -> None:
+        self._window_latencies.append(record.latency_s)
+        self._window_waits.append(record.queue_wait_s)
         self._window_served += 1
         self.served += 1
-        if finish_s > self.last_finish_s:
-            self.last_finish_s = finish_s
-        if request.tenant:
+        if record.finish_s > self.last_finish_s:
+            self.last_finish_s = record.finish_s
+        if record.tenant:
             sketch = self.tenant_latency.setdefault(
-                request.tenant, LatencySketch()
+                record.tenant, LatencySketch()
             )
-            sketch.add(finish_s - request.arrival_s)
-        self.tenant_admission.release(request)
+            sketch.add(record.latency_s)
+        if self.records is not None:
+            self.records.append(record)
+        self.tenant_admission.release(record)
 
     # -- window advance ----------------------------------------------------
     def _feed(self, requests: tuple[Request, ...]):
@@ -315,6 +333,7 @@ class ShardState:
                 if chip is None:
                     self.tenant_admission.release(request)
             if chip is None:
+                obs.inc("serve.shed")
                 self.shed += 1
                 self._window_shed += 1
                 self.shed_by_model[request.model] = (
@@ -324,6 +343,11 @@ class ShardState:
                     self.tenant_shed[request.tenant] = (
                         self.tenant_shed.get(request.tenant, 0) + 1
                     )
+                if self.records is not None:
+                    self.shed_records.append(ShedRecord(
+                        request.index, request.model, request.arrival_s,
+                        tenant=request.tenant,
+                    ))
             else:
                 chip.enqueue(request)
             self.delivered += 1
@@ -344,7 +368,8 @@ class ShardState:
         raise ValueError(f"unknown shard command {command!r}")
 
     def _drainable_victim(self) -> ChipServer | None:
-        """Least-loaded accepting chip whose models stay covered in-shard."""
+        """Least-loaded accepting chip whose models stay covered in-shard
+        (ties go to the oldest chip)."""
         accepting = [chip for chip in self.chips if chip.accepting]
         candidates = []
         for chip in accepting:
@@ -356,7 +381,7 @@ class ShardState:
                 candidates.append(chip)
         if not candidates:
             return None
-        return min(candidates, key=lambda c: (c.outstanding_s, c.name))
+        return min(candidates, key=lambda c: c.outstanding_s)
 
     def step(
         self,
@@ -417,6 +442,12 @@ class ShardState:
         """End-of-run per-chip counters (called once, after the last step)."""
         for resource in self.engine.resources.values():
             resource._integrate()
+        run = None
+        if self.records is not None:
+            run = EngineRun.capture(
+                self.engine,
+                timeline=merge_timelines(self.timeline) if self.timeline else None,
+            )
         chips = tuple(
             ShardChipStats(
                 name=chip.name or "chip",
@@ -457,6 +488,9 @@ class ShardState:
             tenant_latency=dict(self.tenant_latency),
             tenant_shed=dict(self.tenant_shed),
             tenant_service_s=tenant_service,
+            requests=tuple(sorted(self.records or (), key=lambda r: r.index)),
+            shed_records=tuple(self.shed_records),
+            run=run,
         )
 
 
@@ -499,6 +533,10 @@ class _ShardRouter:
         accepting: list[int],
     ) -> tuple[dict[int, list[Request]], list[Request]]:
         """Split ``requests`` across shards; returns (per-shard, unroutable)."""
+        if self.num_shards == 1:
+            # A lone shard routes each arrival itself against exact queue
+            # state; the window-edge hosting snapshot would only shed early.
+            return ({0: list(requests)} if requests else {}), []
         per_shard: dict[int, list[Request]] = {}
         unroutable: list[Request] = []
         backlog = {
@@ -555,10 +593,12 @@ def simulate_cluster_sharded(
 ) -> ClusterReport:
     """Serve ``requests`` on a sharded fleet; returns the cluster report.
 
-    The sharded counterpart of :func:`repro.cluster.simulate_cluster`:
-    same fleet/scheduler/admission semantics, but chips are partitioned
-    into ``sharding.num_shards`` independent engines coordinated at
-    ``sharding.window_s`` boundaries on the actor pool.  ``policy`` (a
+    The K-shard entry of the coordinator that also runs
+    :func:`repro.cluster.simulate_cluster` (one shard): same
+    fleet/scheduler/admission semantics, with chips partitioned into
+    ``sharding.num_shards`` independent engines coordinated at
+    ``sharding.window_s`` boundaries on the actor pool, and latency kept
+    only as mergeable sketches (bounded memory).  ``policy`` (a
     name — instances don't cross process boundaries) routes *within*
     a shard; ``sharding.shard_policy`` routes *across* shards.  The
     optional ``autoscale`` control loop runs at window granularity on
@@ -579,10 +619,47 @@ def simulate_cluster_sharded(
             "sharded simulation needs a routing policy *name*"
             " (policy instances cannot cross process boundaries)"
         )
-    scheduler = scheduler or SchedulerConfig()
-    admission = admission or AdmissionConfig()
-    sharding = sharding or ShardingConfig()
-    energy = energy or EnergyModel()
+    return _coordinate(
+        requests, fleet, scheduler or SchedulerConfig(), policy,
+        admission or AdmissionConfig(), autoscale,
+        sharding or ShardingConfig(), energy or EnergyModel(),
+        bs_t=bs_t, bs_n=bs_n, seed=seed, passes=passes, tenants=tenants,
+        slo_ms=slo_ms, slo_target=slo_target, burn_rules=burn_rules,
+        alerts=alerts, detectors=detectors,
+    )
+
+
+def _coordinate(
+    requests: list[Request],
+    fleet: FleetSpec,
+    scheduler: SchedulerConfig,
+    policy: str | RoutingPolicy,
+    admission: AdmissionConfig,
+    autoscale: AutoscaleConfig | None,
+    sharding: ShardingConfig,
+    energy: EnergyModel,
+    *,
+    bs_t: int,
+    bs_n: int,
+    seed: int,
+    passes: str | None,
+    tenants: tuple[TenantSpec, ...],
+    slo_ms: float | None = None,
+    slo_target: float = 0.99,
+    burn_rules: tuple | None = None,
+    alerts: bool = False,
+    detectors: list | None = None,
+    record: bool = False,
+    record_timeline: bool = False,
+) -> ClusterReport:
+    """The window coordinator behind both cluster entries.
+
+    ``record`` keeps exact per-request and shed records and the engine
+    run (``record_timeline`` adds its timeline), and leaves the window
+    series out of the report — the one-shard
+    :func:`~repro.cluster.simulate_cluster` entry, whose ``policy`` may be
+    a :class:`RoutingPolicy` instance because its shard runs inline.
+    """
     # Imported here: repro.runtime imports the harness registry, which
     # imports this package — runtime access must be deferred to call time.
     from ..runtime.executor import ShardPool
@@ -609,6 +686,8 @@ def simulate_cluster_sharded(
             seed=seed,
             passes=passes,
             tenants=tuple(tenants),
+            record=record,
+            record_timeline=record_timeline,
         )
         for index, shard in enumerate(shards)
     ]
@@ -649,7 +728,9 @@ def simulate_cluster_sharded(
     total_latency = LatencySketch()
     total_wait = LatencySketch()
     digests: dict[int, WindowDigest] = {}
-    pending_commands: dict[int, list[tuple]] = {}
+    # Autoscaler commands per target shard, each with the control tick and
+    # pressure of the decision that issued it (reported on acknowledgement).
+    pending_commands: dict[int, list[tuple[tuple, float, float]]] = {}
     next_chip = len(fleet)
     next_scale_check = autoscale.interval_s if autoscale else None
     arrivals_done = False
@@ -687,6 +768,7 @@ def simulate_cluster_sharded(
                 batch, digests, hosted, accepting
             )
             for request in unroutable:
+                obs.inc("serve.shed")
                 shed_records.append(ShedRecord(
                     request.index, request.model, request.arrival_s,
                     tenant=request.tenant,
@@ -709,20 +791,25 @@ def simulate_cluster_sharded(
                         "step",
                         tuple(per_shard.get(shard, ())),
                         until,
-                        tuple(pending_commands.get(shard, ())),
+                        tuple(
+                            command
+                            for command, *_ in pending_commands.get(shard, ())
+                        ),
                     )
                     for shard in step_shards
                 }
-                pending_commands = {}
+                submitted, pending_commands = pending_commands, {}
                 window_served = 0
                 window_shed = 0
                 progressed = False
+                window_latency = LatencySketch()
                 for shard in step_shards:
                     digest = futures[shard].result()
                     digests[shard] = digest
                     # Per-worker window wall time, merged coordinator-side
                     # (workers on a process pool can't share the registry).
                     obs.observe("cluster.shard_window_s", digest.wall_s)
+                    window_latency.update(digest.latency)
                     total_latency.update(digest.latency)
                     total_wait.update(digest.wait)
                     window_served += digest.window_served
@@ -731,34 +818,31 @@ def simulate_cluster_sharded(
                     accepting[shard] = digest.accepting_chips
                     if digest.window_served or digest.window_shed:
                         progressed = True
-                    for action, chip_name in digest.applied:
+                    for (action, chip_name), (_, tick_s, pressure) in zip(
+                        digest.applied, submitted.get(shard, ())
+                    ):
                         if chip_name is not None:
                             scaling_events.append(ScalingEvent(
-                                t_s=start_s,
+                                t_s=tick_s,
                                 action=action,
                                 chip=chip_name,
-                                pressure=_pressure(
-                                    digests, accepting, sharding.window_s
-                                ),
+                                pressure=pressure,
                                 accepting_chips=sum(accepting),
                             ))
             window_shed += len(unroutable)
             backlog = sum(d.pending + d.inflight for d in digests.values())
             window_p99 = (
-                _window_percentile(digests, step_shards, 99.0) * 1e3
+                window_latency.percentile(99.0) * 1e3
+                if window_latency.count
+                else 0.0
             )
-            window_mean = (
-                _window_mean(digests, step_shards) * 1e3
-            )
+            window_mean = window_latency.mean_s * 1e3
             attainment = None
             budget_remaining = None
             burn_rate = None
             if slo_monitor is not None:
-                merged = LatencySketch()
-                for shard in step_shards:
-                    merged.update(digests[shard].latency)
                 state = slo_monitor.observe_window(
-                    window, start_s, until, merged
+                    window, start_s, until, window_latency
                 )
                 attainment = state.attainment
                 budget_remaining = state.budget_remaining
@@ -792,22 +876,32 @@ def simulate_cluster_sharded(
                 monitor.observe_window(stats)
             if autoscale is not None and not arrivals_done:
                 while next_scale_check <= until:
+                    tick_s = next_scale_check
                     next_scale_check += autoscale.interval_s
-                    command, target = _autoscale_decision(
-                        autoscale, digests, accepting, sharding.window_s,
-                        next_chip,
+                    command, target, pressure = _autoscale_decision(
+                        autoscale, digests, accepting, next_chip
                     )
                     if command is not None:
-                        pending_commands.setdefault(target, []).append(command)
+                        pending_commands.setdefault(target, []).append(
+                            (command, tick_s, pressure)
+                        )
                         if command[0] == "add":
                             next_chip += 1
             if busy and not progressed and not batch:
                 stalled += 1
                 if stalled > _STALL_WINDOWS:
+                    shard_states = "; ".join(
+                        f"shard {shard}: pending {digests[shard].pending},"
+                        f" inflight {digests[shard].inflight},"
+                        f" outstanding_s {digests[shard].outstanding_s:.6g},"
+                        f" accepting_chips {digests[shard].accepting_chips}"
+                        for shard in sorted(busy)
+                    )
                     raise RuntimeError(
-                        "sharded cluster simulation stalled:"
+                        "cluster simulation stalled:"
                         f" {sum(d.served for d in digests.values())} served,"
                         f" backlog {backlog} after {window + 1} windows"
+                        f" ({shard_states})"
                     )
             else:
                 stalled = 0
@@ -830,7 +924,9 @@ def simulate_cluster_sharded(
         spec.name: LatencySketch() for spec in tenants
     }
     tenant_shed_totals: dict[str, int] = {}
-    tenant_service_totals: dict[str, float] = {}
+    tenant_service_totals: dict[str, float] = {
+        spec.name: 0.0 for spec in tenants
+    }
     for final in finals:
         for model, count in final.shed_by_model.items():
             shed_by_model[model] = shed_by_model.get(model, 0) + count
@@ -845,23 +941,29 @@ def simulate_cluster_sharded(
             tenant_service_totals[tenant] = (
                 tenant_service_totals.get(tenant, 0.0) + service
             )
-    for record in shed_records:
-        if record.tenant:
-            tenant_shed_totals[record.tenant] = (
-                tenant_shed_totals.get(record.tenant, 0) + 1
+    for shed in shed_records:
+        if shed.tenant:
+            tenant_shed_totals[shed.tenant] = (
+                tenant_shed_totals.get(shed.tenant, 0) + 1
             )
     total_shed = shard_shed + len(shed_records)
     if served + total_shed != len(stream):  # pragma: no cover - invariant
         raise RuntimeError(
-            f"sharded simulation lost requests: {served} served +"
+            f"cluster simulation lost requests: {served} served +"
             f" {total_shed} shed != {len(stream)} offered"
         )
+    if record:
+        # One shard admits every arrival itself: its records are the run's.
+        (recorded,) = finals
+        shed_records = list(recorded.shed_records)
 
     horizon = max((final.last_finish_s for final in finals), default=0.0)
     span = stream[-1].arrival_s - stream[0].arrival_s if stream else 0.0
     offered = (len(stream) - 1) / span if span > 0 else 0.0
     chip_stats = [chip for final in finals for chip in final.chips]
-    chip_stats.sort(key=lambda c: c.name)
+    if num_shards > 1:
+        # One shard already lists its chips in creation order.
+        chip_stats.sort(key=lambda c: c.name)
     alert_events = [
         *(slo_monitor.alerts if slo_monitor is not None else ()),
         *(monitor.alerts if monitor is not None else ()),
@@ -878,14 +980,14 @@ def simulate_cluster_sharded(
         total_wait,
         offered_rps=offered,
         horizon_s=horizon,
-        policy=policy,
+        policy=make_policy(policy).name,
         queue_capacity=admission.queue_capacity,
         initial_chips=len(fleet),
         scaling_events=scaling_events,
         static_pj_per_s=energy.static_pj(1.0),
         num_shards=num_shards,
-        window_s=sharding.window_s,
-        windows=windows,
+        window_s=None if record else sharding.window_s,
+        windows=[] if record else windows,
         slo_ms=slo_ms,
         slo_summary=(
             slo_monitor.summary() if slo_monitor is not None else None
@@ -895,6 +997,8 @@ def simulate_cluster_sharded(
         tenant_latency=tenant_latency,
         tenant_shed=tenant_shed_totals,
         tenant_service_s=tenant_service_totals,
+        requests=recorded.requests if record else None,
+        run=recorded.run if record else None,
     )
 
 
@@ -932,61 +1036,38 @@ def _pressure(
     return outstanding / (chips * window_s)
 
 
-def _window_percentile(
-    digests: dict[int, WindowDigest], shards: list[int], q: float
-) -> float:
-    merged = LatencySketch()
-    for shard in shards:
-        merged.update(digests[shard].latency)
-    return merged.percentile(q) if merged.count else 0.0
-
-
-def _window_mean(
-    digests: dict[int, WindowDigest], shards: list[int]
-) -> float:
-    merged = LatencySketch()
-    for shard in shards:
-        merged.update(digests[shard].latency)
-    return merged.mean_s
-
-
 def _autoscale_decision(
     config: AutoscaleConfig,
     digests: dict[int, WindowDigest],
     accepting: list[int],
-    window_s: float,
     next_chip: int,
-) -> tuple[tuple | None, int]:
-    """One windowed control-loop tick: returns (command, target shard).
+) -> tuple[tuple | None, int, float]:
+    """One control-loop tick: returns (command, target shard, pressure).
 
-    The same pressure signal as the single-process
-    :class:`~repro.cluster.autoscale.Autoscaler`, but normalized by the
-    *autoscale interval* and evaluated on window-edge digests: add a
-    replica to the emptiest shard under high pressure, drain from the
-    least-loaded shard under low pressure (the shard itself picks — and
-    may refuse — the placement-safe victim).
+    Queue **pressure** is the outstanding estimated work per accepting
+    chip, normalized by the autoscale interval and read from window-edge
+    digests: add a replica to the emptiest shard under high pressure,
+    drain from the least-loaded shard under low pressure (the shard
+    itself picks — and may refuse — the placement-safe victim).
     """
+    if not digests:
+        return None, 0, 0.0
+    pressure = _pressure(digests, accepting, config.interval_s)
     total_accepting = sum(accepting)
-    if not total_accepting or not digests:
-        return None, 0
-    outstanding = sum(d.outstanding_s for d in digests.values())
-    pressure = outstanding / (total_accepting * config.interval_s)
     if pressure > config.high_pressure and total_accepting < config.max_chips:
         target = min(
             range(len(accepting)), key=lambda s: (accepting[s], s)
         )
-        return ("add", config.kind, f"chip{next_chip}"), target
+        return ("add", config.kind, f"chip{next_chip}"), target, pressure
     if pressure < config.low_pressure and total_accepting > config.min_chips:
         candidates = [
             shard for shard, count in enumerate(accepting) if count > 0
         ]
-        if not candidates:
-            return None, 0
         target = min(
             candidates,
             key=lambda s: (
                 digests[s].outstanding_s if s in digests else 0.0, s
             ),
         )
-        return ("drain",), target
-    return None, 0
+        return ("drain",), target, pressure
+    return None, 0, pressure

@@ -800,7 +800,7 @@ def experiment_cluster_multitenant_fairness(
         specs,
         seed=seed,
     )
-    sim = ClusterSimulation(
+    report = ClusterSimulation(
         homogeneous_fleet(fleet_size),
         SchedulerConfig(
             max_batch=max_batch, max_inflight=max_inflight, mode="continuous"
@@ -811,8 +811,7 @@ def experiment_cluster_multitenant_fairness(
         seed=seed,
         passes=passes,
         tenants=specs,
-    )
-    report = sim.run(stream)
+    ).run(stream)
     # A finite run-to-completion stream serves *everything*, so the
     # full-run service share converges to the offered share (uniform)
     # regardless of weights.  WFQ's signature shows while the backlog
@@ -820,12 +819,11 @@ def experiment_cluster_multitenant_fairness(
     # the last arrival), and the per-tenant latency ordering.
     window_end = max((r.arrival_s for r in stream), default=0.0)
     window_counts: dict[str, int] = {spec.name: 0 for spec in specs}
-    for chip in sim.chips:
-        for record in chip.served:
-            if record.tenant and record.finish_s <= window_end:
-                window_counts[record.tenant] = (
-                    window_counts.get(record.tenant, 0) + 1
-                )
+    for record in report.requests:
+        if record.tenant and record.finish_s <= window_end:
+            window_counts[record.tenant] = (
+                window_counts.get(record.tenant, 0) + 1
+            )
     window_total = sum(window_counts.values())
     total_weight = sum(spec.weight for spec in specs)
     fairness = {
@@ -1633,15 +1631,16 @@ def experiment_cluster_sharding_bench(
     bs_n: int = 4,
     passes: str = "all",
 ) -> dict:
-    """Wall-clock comparison of the sharded vs single-process cluster.
+    """Wall-clock comparison of a K-shard vs a one-shard cluster run.
 
-    The SAME Poisson stream is served by the single-engine
-    :class:`~repro.cluster.ClusterSimulation` and by the windowed shard
-    coordinator in conformance mode (round-robin at both levels, which
-    with interleaved partitioning reproduces the global round-robin
-    request for request when ``shards`` divides ``chips``) — so the
-    speedup is measured against a run with byte-identical per-chip
-    assignment, and the percentile disagreement is pure sketch
+    The SAME Poisson stream is served by
+    :class:`~repro.cluster.ClusterSimulation` (the whole fleet in one
+    shard, exact per-request records) and by the coordinator with
+    ``shards`` shards in conformance mode (round-robin at both levels,
+    which with interleaved partitioning reproduces the one-shard
+    round-robin request for request when ``shards`` divides ``chips``) —
+    so the speedup is measured against a run with byte-identical
+    per-chip assignment, and the percentile disagreement is pure sketch
     quantization.  ``jobs`` sizes the actor pool (1 = shards inline in
     one process: the speedup is then the router/event-locality win
     alone; on a multi-core host ``jobs>1`` adds true parallelism).  The
@@ -2215,7 +2214,7 @@ EXPERIMENTS: dict[str, Experiment] = _register((
             "passes": _PASSES,
         },
         smoke_params={"chips": 64, "shards": 2, "num_requests": 200},
-        description="sharded-vs-single-process fleet speedup + percentile"
+        description="K-shard vs one-shard fleet speedup + percentile"
         " conformance (a BENCH trajectory deliverable)",
     ),
     Experiment(

@@ -19,7 +19,6 @@ and chip energy (dynamic per work done + static over the horizon).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 from .. import obs
 from ..arch.engine.kernel import Engine, Hold, WaitFor
@@ -63,7 +62,6 @@ class ChipServer:
         kind: str = "standard",
         queue_capacity: int | None = None,
         timeline: list[TimelineEntry] | None = None,
-        on_complete: Callable[[list[Request]], None] | None = None,
         recorder: "object | None" = None,
         tenants: tuple[TenantSpec, ...] = (),
     ):
@@ -77,11 +75,10 @@ class ChipServer:
         self.kind = kind
         self.queue_capacity = queue_capacity
         self.timeline = timeline
-        self.on_complete = on_complete
         # A recorder replaces the per-request `served` list with streaming
-        # observation (``recorder.observe(request, start_s, finish_s,
-        # batch_size, chip)``) — how sharded fleet runs keep memory
-        # bounded.  The summary counters below are maintained either way.
+        # observation (``recorder.observe(record)``) — how shard simulators
+        # keep memory bounded.  The summary counters below are maintained
+        # either way.
         self.recorder = recorder
         self.tenants = tuple(tenants)
 
@@ -95,11 +92,9 @@ class ChipServer:
         )
         self.work = engine.gate()
         self.inflight = 0
-        self.dispatched = 0
         self.served: list[ServedRequest] = []
         self.served_count = 0
         self.batch_size_weighted = 0.0   # Σ batch² (per-request mean weighting)
-        self.last_finish_s = 0.0
         self.dynamic_energy_pj = 0.0
         self.preemptions = 0         # continuous: priority displacements
         self.continuous_joins = 0    # continuous: merges into in-flight cohorts
@@ -173,15 +168,6 @@ class ChipServer:
             return 0.0
         return self.batch_size_weighted / self.served_count
 
-    def active_span_s(self, horizon_s: float) -> float:
-        """Seconds this chip was powered: creation until the run's horizon,
-        or until it finished draining if the autoscaler removed it (an idle
-        but accepting chip still burns static power)."""
-        end = horizon_s
-        if not self.accepting and self.drained_s is not None:
-            end = self.drained_s
-        return max(0.0, end - self.started_s)
-
     # -- serving processes -------------------------------------------------
     def _schedule_loop(self):
         if self.continuous is not None:
@@ -190,7 +176,6 @@ class ChipServer:
         while True:
             if self.pending and self.inflight < self.scheduler.max_inflight:
                 batch = take_batch(self.pending, self.scheduler.max_batch)
-                self.dispatched += len(batch)
                 self.inflight += 1
                 label = self._batch_label(batch)
                 self.engine.spawn(self._run_batch(batch, label), name=label)
@@ -251,25 +236,8 @@ class ChipServer:
         obs.observe("serve.batch_size", size)
         self.served_count += size
         self.batch_size_weighted += float(size) * size
-        self.last_finish_s = max(self.last_finish_s, finish)
         for request in batch:
-            if self.recorder is None:
-                self.served.append(ServedRequest(
-                    index=request.index,
-                    model=request.model,
-                    arrival_s=request.arrival_s,
-                    start_s=start,
-                    finish_s=finish,
-                    batch_size=size,
-                    chip=self.name or "",
-                    tenant=request.tenant,
-                    priority=request.priority,
-                ))
-            else:
-                self.recorder.observe(
-                    request, start, finish, size, self.name or ""
-                )
-            self.outstanding_s -= self.service_estimate_s(request.model)
+            self._record(request, start, finish, size)
         for request in batch:
             self._static_service_s[request.tenant] = (
                 self._static_service_s.get(request.tenant, 0.0)
@@ -279,8 +247,6 @@ class ChipServer:
         self.inflight -= 1
         self._maybe_mark_drained()
         self.work.signal()
-        if self.on_complete is not None:
-            self.on_complete(batch)
 
     # -- continuous-batching lane ------------------------------------------
     def _stage_label(self, entry: StageEntry, stage: int, size: int) -> str:
@@ -324,7 +290,6 @@ class ChipServer:
             for entry in group:
                 if entry.start_s is None:
                     entry.start_s = self.engine.now
-                    self.dispatched += 1
             timing = profile.timings[stage]
             label = self._stage_label(head, stage, size)
             obs.inc("serve.stage_groups")
@@ -342,34 +307,39 @@ class ChipServer:
 
     def _finish_entries(self, finished: list[StageEntry]) -> None:
         now = self.engine.now
-        self.last_finish_s = max(self.last_finish_s, now)
-        completed: list[Request] = []
         for entry in finished:
-            request = entry.request
             size = entry.max_group
             self.served_count += 1
             self.batch_size_weighted += float(size)
-            if self.recorder is None:
-                self.served.append(ServedRequest(
-                    index=request.index,
-                    model=request.model,
-                    arrival_s=request.arrival_s,
-                    start_s=entry.start_s,
-                    finish_s=now,
-                    batch_size=size,
-                    chip=self.name or "",
-                    tenant=request.tenant,
-                    priority=request.priority,
-                    preemptions=entry.preemptions,
-                ))
-            else:
-                self.recorder.observe(
-                    request, entry.start_s, now, size, self.name or ""
-                )
-            self.outstanding_s -= self.service_estimate_s(request.model)
-            completed.append(request)
-        if self.on_complete is not None:
-            self.on_complete(completed)
+            self._record(
+                entry.request, entry.start_s, now, size, entry.preemptions
+            )
+
+    def _record(
+        self,
+        request: Request,
+        start_s: float,
+        finish_s: float,
+        batch_size: int,
+        preemptions: int = 0,
+    ) -> None:
+        record = ServedRequest(
+            index=request.index,
+            model=request.model,
+            arrival_s=request.arrival_s,
+            start_s=start_s,
+            finish_s=finish_s,
+            batch_size=batch_size,
+            chip=self.name or "",
+            tenant=request.tenant,
+            priority=request.priority,
+            preemptions=preemptions,
+        )
+        if self.recorder is None:
+            self.served.append(record)
+        else:
+            self.recorder.observe(record)
+        self.outstanding_s -= self.service_estimate_s(request.model)
 
 
 def simulate_serving(

@@ -135,3 +135,45 @@ class TestDrain:
         )
         assert report.shed == 0
         assert report.chips["chip0"].requests_served == 3
+
+
+class TestPinnedDecisions:
+    """The control loop's exact decisions on the two streams above: one
+    ``(action, chip, tick)`` triple per event, tick in units of the
+    interval."""
+
+    @staticmethod
+    def decisions(report, interval_s):
+        return [
+            (e.action, e.chip, e.t_s / interval_s)
+            for e in report.scaling_events
+        ]
+
+    def test_scale_up_sequence(self, single_latency):
+        cap = 1.0 / single_latency
+        config = autoscale(single_latency)
+        report = simulate_cluster(
+            poisson_arrivals(400, 3.0 * cap, MODEL, seed=0),
+            homogeneous_fleet(1),
+            SchedulerConfig(max_inflight=2),
+            autoscale=config,
+        )
+        assert self.decisions(report, config.interval_s) == [
+            ("add", "chip1", pytest.approx(1.0)),
+            ("add", "chip2", pytest.approx(3.0)),
+            ("drain", "chip1", pytest.approx(7.0)),
+        ]
+
+    def test_drain_sequence(self, single_latency):
+        cap = 1.0 / single_latency
+        config = autoscale(single_latency, min_chips=1)
+        report = simulate_cluster(
+            poisson_arrivals(60, 0.05 * cap, MODEL, seed=0),
+            homogeneous_fleet(3),
+            SchedulerConfig(max_inflight=2),
+            autoscale=config,
+        )
+        assert self.decisions(report, config.interval_s) == [
+            ("drain", "chip0", pytest.approx(1.0)),
+            ("drain", "chip1", pytest.approx(2.0)),
+        ]

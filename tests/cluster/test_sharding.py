@@ -197,6 +197,26 @@ class TestAdmission:
         assert sum(w.shed for w in report.windows) == report.shed
         json.dumps(report.to_dict(), allow_nan=False)
 
+    def test_coordinator_sheds_keep_the_window_series(self):
+        # model4 lives on shard 1 only; once its one-slot queue is full at
+        # a window edge, the coordinator sheds that window's arrivals
+        fleet = FleetSpec((
+            ChipSpec(models=("model1",)), ChipSpec(models=(MODEL,)),
+        ))
+        stream = [
+            Request(index=i, model=MODEL, arrival_s=i * 2e-5)
+            for i in range(200)
+        ]
+        report = sharded(
+            stream, fleet, SchedulerConfig(max_inflight=1), shards=2,
+            window_s=1e-3, admission=AdmissionConfig(queue_capacity=1),
+        )
+        assert report.shed_records  # coordinator-level sheds happened
+        assert report.served + report.shed == 200
+        assert report.windows
+        assert sum(w.shed for w in report.windows) == report.shed
+        assert report.requests == ()
+
 
 class TestWindowsAndSlo:
     def test_window_series_accounts_for_every_request(self, capacity):
@@ -267,6 +287,74 @@ class TestWindowedAutoscale:
         ]
         assert added
         json.dumps(report.to_dict(), allow_nan=False)
+
+
+class TestScalingEventPressure:
+    """A scaling event reports the pressure that triggered it: above
+    ``high_pressure`` for every add, below ``low_pressure`` for every
+    drain, whatever the shard count or window size."""
+
+    @pytest.mark.parametrize(
+        "shards,windows_per_interval", [(1, 1), (1, 4), (2, 1), (2, 4)]
+    )
+    def test_events_carry_the_deciding_pressure(
+        self, capacity, shards, windows_per_interval
+    ):
+        stream = flash_crowd_arrivals(
+            600, 0.4 * capacity, MODEL, seed=0,
+            spike_at_s=0.02, spike_duration_s=0.03, spike_factor=8.0,
+        )
+        config = AutoscaleConfig(
+            interval_s=20 * request_profile(MODEL).single_latency_s,
+            high_pressure=0.5,
+            low_pressure=0.05,
+            max_chips=6,
+        )
+        report = sharded(
+            stream,
+            homogeneous_fleet(2),
+            SchedulerConfig(max_batch=4, max_inflight=2, mode="continuous"),
+            shards=shards,
+            window_s=config.interval_s / windows_per_interval,
+            autoscale=config,
+        )
+        adds = [e for e in report.scaling_events if e.action == "add"]
+        drains = [e for e in report.scaling_events if e.action == "drain"]
+        assert adds and drains
+        assert all(e.pressure > config.high_pressure for e in adds)
+        assert all(e.pressure < config.low_pressure for e in drains)
+
+
+class TestStallGuard:
+    def test_stall_names_every_busy_shard(self, monkeypatch):
+        import repro.cluster.sharding as sharding_module
+        from repro.cluster import ShardState, WindowDigest
+        from repro.serve.sketch import LatencySketch
+
+        def stuck_step(self, requests, until, commands=()):
+            # Busy forever, never serving or shedding anything.
+            return WindowDigest(
+                shard=self.init.shard, until_s=until,
+                window_served=0, window_shed=0, served=0, shed=0,
+                delivered=len(requests), pending=3, inflight=1,
+                outstanding_s=0.25, accepting_chips=2,
+                hosted_models=(MODEL,),
+                latency=LatencySketch(), wait=LatencySketch(),
+            )
+
+        monkeypatch.setattr(sharding_module, "_STALL_WINDOWS", 3)
+        monkeypatch.setattr(ShardState, "step", stuck_step)
+        stream = [
+            Request(index=i, model=MODEL, arrival_s=0.0) for i in range(4)
+        ]
+        with pytest.raises(RuntimeError, match="stalled") as error:
+            sharded(stream, homogeneous_fleet(4), shards=2)
+        message = str(error.value)
+        for shard in (0, 1):
+            assert (
+                f"shard {shard}: pending 3, inflight 1, outstanding_s 0.25,"
+                " accepting_chips 2"
+            ) in message
 
 
 class TestDeterminism:
