@@ -39,9 +39,13 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def cache_key(experiment_id: str, code_hash: str, cfg_hash: str) -> str:
+def cache_key(
+    experiment_id: str, code_hash: str, cfg_hash: str, engine: str = ""
+) -> str:
+    """Entry address; ``engine`` is the ``REPRO_ENGINE`` mode the result
+    was computed under (contended fast and kernel runs differ)."""
     digest = hashlib.sha256()
-    for part in (experiment_id, code_hash, cfg_hash):
+    for part in (experiment_id, code_hash, cfg_hash, engine):
         digest.update(part.encode())
         digest.update(b"\x00")
     return digest.hexdigest()

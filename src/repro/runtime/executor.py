@@ -25,12 +25,26 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .. import obs
+from ..arch.engine.fastpath import engine_mode
 from ..harness import EXPERIMENTS, get_experiment, registry_code_hash
 from .artifacts import ArtifactStore, canonical_payload
 from .cache import CacheEntry, ResultCache, cache_key, config_hash
 from .sweep import expand_grid
 
 __all__ = ["ExperimentRunner", "RunOutcome", "RunSummary", "ShardPool"]
+
+
+def _engine_key() -> str:
+    """The engine mode results are computed under, for the cache key.
+
+    An unknown ``REPRO_ENGINE`` spelling keys by its raw value rather than
+    raising here: the run then misses and the experiment itself fails
+    with :func:`engine_mode`'s message.
+    """
+    try:
+        return engine_mode()
+    except ValueError:
+        return os.environ.get("REPRO_ENGINE", "")
 
 
 @dataclass(frozen=True)
@@ -259,11 +273,12 @@ class ExperimentRunner:
         started = time.perf_counter()
         store = store or self.store
         resolved: list[_Request] = []
+        engine = _engine_key()
         for index, (name, overrides) in enumerate(requests):
             experiment = get_experiment(name)
             params = experiment.resolve_params(overrides)
             cfg_hash = config_hash(params)
-            key = cache_key(name, self._code_hash, cfg_hash)
+            key = cache_key(name, self._code_hash, cfg_hash, engine)
             resolved.append(_Request(index, name, params, cfg_hash, key))
 
         outcomes: dict[int, RunOutcome] = {}

@@ -27,15 +27,21 @@ the next tenant by minimum virtual service time (cumulative serial
 stage-seconds served, divided by the tenant's weight) within the highest
 ready priority tier — the classic WFQ rule at stage granularity.
 
+Static batching is the same scheduler with one whole-program quantum per
+request (credited at ``single_latency_s``), picked FIFO blind to priority
+and tenant — :func:`~repro.serve.scheduler.take_batch` order, which the
+property suite uses as the oracle.
+
 Degenerate conformance: with a single tenant, one priority tier, and
-``allow_join=False`` / ``preempt=False``, selection reduces exactly to
-:func:`~repro.serve.scheduler.take_batch` order and groups stay pinned to
-completion — the differential tests pin per-request latencies against
-the static scheduler to float precision.
+``allow_join=False`` / ``preempt=False``, continuous selection reduces
+exactly to that order and groups stay pinned to completion — the
+differential tests pin per-request latencies against static mode to
+float precision.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..arch.engine.machine import LayerTiming
@@ -55,10 +61,12 @@ def stage_serial_s(timing: LayerTiming) -> float:
 
 @dataclass(eq=False)
 class StageEntry:
-    """One admitted request's continuous-scheduling state.
+    """One admitted request's scheduling state.
 
-    ``completed`` is the preemption checkpoint: the number of stages this
-    request has finished.  A preempted entry re-enters the ready pool and
+    A "stage" is the scheduler's quantum: one compiled ``Stage``, or the
+    whole program in static mode (``total_stages == 1``).  ``completed``
+    is the preemption checkpoint: the number of stages this request has
+    finished.  A preempted entry re-enters the ready pool and
     resumes at stage ``completed``; ``executed`` records the stage indices
     actually run (each exactly once — the no-re-execution invariant the
     property suite checks).
@@ -68,8 +76,7 @@ class StageEntry:
     total_stages: int
     order: int                       # admission sequence (FIFO tie-break)
     completed: int = 0
-    cohort: int | None = None        # execution-group lineage
-    started: bool = False            # first stage dispatched
+    cohort: int | None = None        # execution group; None until started
     start_s: float | None = None     # first dispatch time
     finish_s: float | None = None
     preemptions: int = 0
@@ -82,13 +89,13 @@ class StageEntry:
 
 
 class ContinuousBatchScheduler:
-    """Ready pool + stage-boundary selection for one chip.
+    """Ready pool + quantum-boundary selection for one chip.
 
     The owning :class:`~repro.serve.simulate.ChipServer` lane calls
-    :meth:`select` at every stage boundary (handing back its previous
-    group) and :meth:`stage_done` after executing the chosen stage; the
+    :meth:`select` at every quantum boundary (handing back its previous
+    group) and :meth:`stage_done` after executing the chosen quantum; the
     scheduler owns all ordering decisions, the lane owns the engine
-    processes.
+    processes.  ``config.mode`` sizes the quantum.
     """
 
     def __init__(
@@ -97,8 +104,6 @@ class ContinuousBatchScheduler:
         profiles: dict[str, RequestProfile],
         tenants: tuple[TenantSpec, ...] = (),
     ):
-        if not config.continuous:
-            raise ValueError("ContinuousBatchScheduler needs mode='continuous'")
         self.config = config
         self.profiles = profiles
         self.weights = {t.name: t.weight for t in tenants}
@@ -108,16 +113,18 @@ class ContinuousBatchScheduler:
         self.joins = 0
         self._order = 0
         self._next_cohort = 0
+        self._unstarted = 0
         self._serial: dict[str, tuple[float, ...]] = {}
 
     # -- admission ---------------------------------------------------------
     def add(self, request: Request) -> StageEntry:
         entry = StageEntry(
             request=request,
-            total_stages=len(self.profiles[request.model].timings),
+            total_stages=len(self._serial_stages(request.model)),
             order=self._order,
         )
         self._order += 1
+        self._unstarted += 1
         self.pool.append(entry)
         return entry
 
@@ -127,7 +134,7 @@ class ContinuousBatchScheduler:
 
         Preempted (started) entries are in-flight work, not queue
         backlog — they don't count against a bounded pending queue."""
-        return sum(1 for e in self.pool if not e.started)
+        return self._unstarted
 
     @property
     def empty(self) -> bool:
@@ -135,11 +142,14 @@ class ContinuousBatchScheduler:
 
     # -- selection ---------------------------------------------------------
     def _serial_stages(self, model: str) -> tuple[float, ...]:
+        """Service seconds of each of ``model``'s quanta (WFQ units)."""
         cached = self._serial.get(model)
         if cached is None:
-            cached = tuple(
-                stage_serial_s(t) for t in self.profiles[model].timings
-            )
+            profile = self.profiles[model]
+            if self.config.continuous:
+                cached = tuple(stage_serial_s(t) for t in profile.timings)
+            else:
+                cached = (profile.single_latency_s,)
             self._serial[model] = cached
         return cached
 
@@ -150,6 +160,10 @@ class ContinuousBatchScheduler:
         return (0 if entry in carry else 1, -entry.completed, entry.order)
 
     def _pick_head(self, carry: set) -> StageEntry:
+        if not self.config.continuous:
+            # Static: whole-program quanta never return to the pool, so it
+            # stays in admission order — FIFO blind to priority and tenant.
+            return self.pool[0]
         candidates = self.pool
         if self.config.preempt or not carry:
             top = max(e.request.priority for e in candidates)
@@ -191,8 +205,7 @@ class ContinuousBatchScheduler:
             return [], 0, [], 0
         head = self._pick_head(carry)
         stage = head.completed
-        peers = self._peers(head, stage)
-        group = [head] + peers[: self.config.max_batch - 1]
+        group = [head, *self._peers(head, stage)]
 
         preempted = [
             e for e in carry
@@ -212,34 +225,40 @@ class ContinuousBatchScheduler:
         )
         self.joins += joined
         for entry in group:
+            if entry.cohort is None:
+                self._unstarted -= 1
             entry.cohort = cohort
-            entry.started = True
             self.pool.remove(entry)
         return group, stage, preempted, joined
 
     def _peers(self, head: StageEntry, stage: int) -> list[StageEntry]:
+        """Up to ``max_batch - 1`` entries to run alongside ``head``."""
         if self.config.allow_join:
-            peers = [
+            peers = (
                 e for e in self.pool
                 if e is not head
                 and e.request.model == head.request.model
                 and e.completed == stage
-            ]
+            )
         elif head.cohort is None:
             # Group formed once at stage 0 from never-started same-model
             # entries — take_batch semantics, pinned thereafter.
-            peers = [
+            peers = (
                 e for e in self.pool
                 if e is not head and e.cohort is None
                 and e.request.model == head.request.model
-            ]
+            )
         else:
-            peers = [
+            peers = (
                 e for e in self.pool
                 if e is not head and e.cohort == head.cohort
-            ]
-        peers.sort(key=lambda e: self._entry_key(e, set()))
-        return peers
+            )
+        # nsmallest == sorted(...)[:n], without sorting the whole backlog
+        # (and without scanning it at max_batch=1).
+        return heapq.nsmallest(
+            self.config.max_batch - 1, peers,
+            key=lambda e: self._entry_key(e, ()),
+        )
 
     # -- completion --------------------------------------------------------
     def stage_done(

@@ -14,14 +14,15 @@ for cores.  Two axes:
     requests overlap on different cores (one request's attention phase
     under another's MLP), at the price of queueing on busy cores.
 ``mode``
-    ``"static"`` (the default): batches are formed once at dispatch and
-    run to completion (:func:`take_batch` + the layer-serial or
-    scheduled inference process).  ``"continuous"``: execution groups
-    are re-formed at every compiled-``Stage`` boundary by the
-    :class:`~repro.serve.continuous.ContinuousBatchScheduler` —
-    requests join and leave in-flight groups, higher priority tiers
-    preempt at stage boundaries (``preempt``), and preempted requests
-    resume from their checkpointed stage index without redoing work.
+    The quantum of the one chip loop, whose lanes consult the
+    :class:`~repro.serve.continuous.ContinuousBatchScheduler` at every
+    quantum boundary.  ``"static"`` (the default): the whole compiled
+    program, so a :func:`take_batch` (FIFO) batch runs to completion.
+    ``"continuous"``: one compiled ``Stage``, so groups re-form at every
+    stage boundary — requests join and leave in-flight groups, higher
+    priority tiers preempt at stage boundaries (``preempt``), and
+    preempted requests resume from their checkpointed stage index
+    without redoing work.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Multi-request serving simulation on the discrete-event engine.
 
 The serving loop of one chip is packaged as a :class:`ChipServer`: a
-bounded pending queue, a **scheduler** process that forms batches
-(``repro.serve.scheduler``) and dispatches them whenever an inference slot
-is free, and per-batch processes running the model's
-:func:`~repro.arch.engine.machine.inference_process`, contending with
-every other in-flight batch for the dense/sparse/attention cores, the
-spike generator, and the DRAM channel.
+ready pool (optionally bounded), a dispatcher that opens a **lane** per
+free inference slot, and lanes that replay one quantum at a time for the
+group the :class:`~repro.serve.continuous.ContinuousBatchScheduler`
+picks, contending with every other lane for the dense/sparse/attention
+cores, the spike generator, and the DRAM channel.  The scheduler mode
+only sizes the quantum: the whole compiled program in static mode (a
+batch runs to completion), one compiled stage in continuous mode.
 
 :func:`simulate_serving` wires ONE chip server to an arrival stream — the
 N=1 special case of the cluster simulation (``repro.cluster``), which
@@ -17,8 +18,6 @@ and chip energy (dynamic per work done + static over the horizon).
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .. import obs
 from ..arch.engine.kernel import Engine, Hold, WaitFor
@@ -33,17 +32,17 @@ from ..arch.energy import EnergyModel
 from .continuous import ContinuousBatchScheduler, StageEntry
 from .profiles import RequestProfile, request_profile
 from .report import ServedRequest, ServingReport, build_report
-from .scheduler import SchedulerConfig, take_batch
+from .scheduler import SchedulerConfig
 from .workload import Request, TenantSpec
 
 __all__ = ["ChipServer", "simulate_serving"]
 
 
 class ChipServer:
-    """One chip's serving loop: pending queue, scheduler, dispatch.
+    """One chip's serving loop: ready pool, dispatch, lanes.
 
     The server owns the mutable serving state of a single
-    :class:`~repro.arch.engine.machine.BishopMachine` — the pending queue
+    :class:`~repro.arch.engine.machine.BishopMachine` — the ready pool
     (optionally bounded, for admission control), the in-flight count, the
     per-request completion records, and the chip's dynamic energy.  The
     cluster router talks to it through :meth:`enqueue` /
@@ -82,13 +81,8 @@ class ChipServer:
         self.recorder = recorder
         self.tenants = tuple(tenants)
 
-        self.pending: deque[Request] = deque()
-        # Continuous mode replaces the pending deque with a stage-level
-        # ready pool: groups re-form at every compiled-Stage boundary.
-        self.continuous: ContinuousBatchScheduler | None = (
-            ContinuousBatchScheduler(self.scheduler, profiles, self.tenants)
-            if self.scheduler.continuous
-            else None
+        self.batcher = ContinuousBatchScheduler(
+            self.scheduler, profiles, self.tenants
         )
         self.work = engine.gate()
         self.inflight = 0
@@ -96,11 +90,6 @@ class ChipServer:
         self.served_count = 0
         self.batch_size_weighted = 0.0   # Σ batch² (per-request mean weighting)
         self.dynamic_energy_pj = 0.0
-        self.preemptions = 0         # continuous: priority displacements
-        self.continuous_joins = 0    # continuous: merges into in-flight cohorts
-        self._static_service_s: dict[str, float] = {
-            t.name: 0.0 for t in self.tenants
-        }
         self.outstanding_s = 0.0     # estimated queued + in-flight work
         self.accepting = True        # routing eligibility (autoscaler drain)
         self.closed = False          # no further arrivals will ever come
@@ -120,18 +109,14 @@ class ChipServer:
 
     @property
     def queue_depth(self) -> int:
-        if self.continuous is not None:
-            return self.continuous.queue_depth
-        return len(self.pending)
+        return self.batcher.queue_depth
 
     @property
     def tenant_service_s(self) -> dict[str, float]:
         """Per-tenant service seconds delivered by this chip (serial
         stage-seconds executed in continuous mode; uncontended request
         seconds completed in static mode) — the WFQ fairness measure."""
-        if self.continuous is not None:
-            return dict(self.continuous.service_s)
-        return dict(self._static_service_s)
+        return dict(self.batcher.service_s)
 
     def service_estimate_s(self, model: str) -> float:
         """Uncontended single-request latency of ``model`` on this chip."""
@@ -140,10 +125,7 @@ class ChipServer:
     def enqueue(self, request: Request) -> None:
         if self.closed:
             raise RuntimeError(f"chip {self.name!r} is closed")
-        if self.continuous is not None:
-            self.continuous.add(request)
-        else:
-            self.pending.append(request)
+        self.batcher.add(request)
         obs.inc("serve.admitted")
         obs.set_gauge("serve.queue_depth", self.queue_depth)
         self.outstanding_s += self.service_estimate_s(request.model)
@@ -156,9 +138,7 @@ class ChipServer:
 
     @property
     def idle(self) -> bool:
-        if self.continuous is not None:
-            return self.continuous.empty and self.inflight == 0
-        return not self.pending and self.inflight == 0
+        return self.batcher.empty and self.inflight == 0
 
     @property
     def mean_batch_size(self) -> float:
@@ -170,29 +150,13 @@ class ChipServer:
 
     # -- serving processes -------------------------------------------------
     def _schedule_loop(self):
-        if self.continuous is not None:
-            yield from self._continuous_loop()
-            return
-        while True:
-            if self.pending and self.inflight < self.scheduler.max_inflight:
-                batch = take_batch(self.pending, self.scheduler.max_batch)
-                self.inflight += 1
-                label = self._batch_label(batch)
-                self.engine.spawn(self._run_batch(batch, label), name=label)
-                continue
-            if self.closed and not self.pending:
-                self._maybe_mark_drained()
-                return
-            yield WaitFor(self.work)
-
-    def _continuous_loop(self):
         # Lanes are the chip's inference slots: each runs one execution
-        # group at a time, re-consulting the continuous scheduler at every
-        # stage boundary; a lane exits when the ready pool is dry and is
+        # group at a time, re-consulting the scheduler at every quantum
+        # boundary; a lane exits when the ready pool is dry and is
         # respawned on the next arrival.
         while True:
             if (
-                not self.continuous.empty
+                not self.batcher.empty
                 and self.inflight < self.scheduler.max_inflight
             ):
                 self.inflight += 1
@@ -201,75 +165,34 @@ class ChipServer:
                 name = f"{self.name or 'chip'}:lane{lane}"
                 self.engine.spawn(self._run_lane(), name=name)
                 continue
-            if self.closed and self.continuous.empty:
+            if self.closed and self.batcher.empty:
                 self._maybe_mark_drained()
                 return
             yield WaitFor(self.work)
 
     def _maybe_mark_drained(self) -> None:
-        # Fully idle after close: the scheduler may exit while batches are
-        # still in flight, so the last _run_batch also checks.
+        # Fully idle after close: the dispatcher may exit while lanes are
+        # still running, so the last lane also checks.
         if self.closed and self.idle and self.drained_s is None:
             self.drained_s = self.engine.now
 
-    def _batch_label(self, batch: list[Request]) -> str:
-        label = f"b{batch[0].index}x{len(batch)}"
-        return f"{self.name}/{label}" if self.name else label
-
-    def _run_batch(self, batch: list[Request], label: str):
-        profile = self.profiles[batch[0].model]
-        start = self.engine.now
-        # Profiles compiled with the scheduling pass replay under the
-        # depth-1 weight-prefetch schedule; others layer-serially.
-        process = (
-            scheduled_inference_process
-            if getattr(profile, "scheduled", False)
-            else inference_process
-        )
-        yield from process(
-            self.engine, self.machine, profile.timings, label, len(batch),
-            self.timeline,
-        )
-        finish = self.engine.now
-        size = len(batch)
-        obs.inc("serve.batches")
-        obs.observe("serve.batch_size", size)
-        self.served_count += size
-        self.batch_size_weighted += float(size) * size
-        for request in batch:
-            self._record(request, start, finish, size)
-        for request in batch:
-            self._static_service_s[request.tenant] = (
-                self._static_service_s.get(request.tenant, 0.0)
-                + profile.single_latency_s
-            )
-        self.dynamic_energy_pj += profile.batch_dynamic_pj(len(batch))
-        self.inflight -= 1
-        self._maybe_mark_drained()
-        self.work.signal()
-
-    # -- continuous-batching lane ------------------------------------------
-    def _stage_label(self, entry: StageEntry, stage: int, size: int) -> str:
-        request = entry.request
-        timing = self.profiles[request.model].timings[stage]
-        label = f"c{entry.cohort}x{size}/L{stage}.{timing.kind}"
+    def _label(self, label: str) -> str:
         return f"{self.name}/{label}" if self.name else label
 
     def _run_lane(self):
-        """One inference slot under continuous batching.
+        """One inference slot.
 
-        The lane asks the scheduler for an execution group at every stage
-        boundary (handing back its previous group, so joins, leaves, WFQ
-        switches, and preemptions all happen here), executes exactly one
-        compiled stage for the whole group, then repeats; it exits when
-        the ready pool is dry.
+        The lane asks the scheduler for an execution group at every
+        quantum boundary (handing back its previous group, so joins,
+        leaves, WFQ switches, and preemptions all happen here), replays
+        exactly one quantum for the whole group, then repeats; it exits
+        when the ready pool is dry.
         """
-        sched = self.continuous
+        sched = self.batcher
         group: list[StageEntry] = []
         while True:
             group, stage, preempted, joined = sched.select(group)
             for entry in preempted:
-                self.preemptions += 1
                 obs.inc("serve.preemptions")
                 with obs.span(
                     "serve.preempt", cat="serve",
@@ -280,7 +203,6 @@ class ChipServer:
                 ):
                     pass
             if joined:
-                self.continuous_joins += joined
                 obs.inc("serve.continuous_joins")
             if not group:
                 break
@@ -290,13 +212,32 @@ class ChipServer:
             for entry in group:
                 if entry.start_s is None:
                     entry.start_s = self.engine.now
-            timing = profile.timings[stage]
-            label = self._stage_label(head, stage, size)
-            obs.inc("serve.stage_groups")
-            yield from stage_process(
-                self.engine, self.machine, timing, label, size, self.timeline
-            )
-            self.dynamic_energy_pj += timing.batch_dynamic_pj(size)
+            if self.scheduler.continuous:
+                timing = profile.timings[stage]
+                label = f"c{head.cohort}x{size}/L{stage}.{timing.kind}"
+                obs.inc("serve.stage_groups")
+                yield from stage_process(
+                    self.engine, self.machine, timing, self._label(label),
+                    size, self.timeline,
+                )
+                self.dynamic_energy_pj += timing.batch_dynamic_pj(size)
+            else:
+                # The whole program: profiles compiled with the scheduling
+                # pass replay under the depth-1 weight-prefetch schedule,
+                # others layer-serially.
+                process = (
+                    scheduled_inference_process
+                    if profile.scheduled
+                    else inference_process
+                )
+                label = f"b{head.request.index}x{size}"
+                yield from process(
+                    self.engine, self.machine, profile.timings,
+                    self._label(label), size, self.timeline,
+                )
+                obs.inc("serve.batches")
+                obs.observe("serve.batch_size", size)
+                self.dynamic_energy_pj += profile.batch_dynamic_pj(size)
             finished = sched.stage_done(group, stage, self.engine.now)
             if finished:
                 self._finish_entries(finished)
@@ -306,40 +247,27 @@ class ChipServer:
         self.work.signal()
 
     def _finish_entries(self, finished: list[StageEntry]) -> None:
-        now = self.engine.now
         for entry in finished:
-            size = entry.max_group
-            self.served_count += 1
-            self.batch_size_weighted += float(size)
-            self._record(
-                entry.request, entry.start_s, now, size, entry.preemptions
+            request = entry.request
+            record = ServedRequest(
+                index=request.index,
+                model=request.model,
+                arrival_s=request.arrival_s,
+                start_s=entry.start_s,
+                finish_s=entry.finish_s,
+                batch_size=entry.max_group,
+                chip=self.name or "",
+                tenant=request.tenant,
+                priority=request.priority,
+                preemptions=entry.preemptions,
             )
-
-    def _record(
-        self,
-        request: Request,
-        start_s: float,
-        finish_s: float,
-        batch_size: int,
-        preemptions: int = 0,
-    ) -> None:
-        record = ServedRequest(
-            index=request.index,
-            model=request.model,
-            arrival_s=request.arrival_s,
-            start_s=start_s,
-            finish_s=finish_s,
-            batch_size=batch_size,
-            chip=self.name or "",
-            tenant=request.tenant,
-            priority=request.priority,
-            preemptions=preemptions,
-        )
-        if self.recorder is None:
-            self.served.append(record)
-        else:
-            self.recorder.observe(record)
-        self.outstanding_s -= self.service_estimate_s(request.model)
+            self.served_count += 1
+            self.batch_size_weighted += float(entry.max_group)
+            if self.recorder is None:
+                self.served.append(record)
+            else:
+                self.recorder.observe(record)
+            self.outstanding_s -= self.service_estimate_s(request.model)
 
 
 def simulate_serving(
@@ -418,7 +346,7 @@ def simulate_serving(
         max_batch=scheduler.max_batch,
         max_inflight=scheduler.max_inflight,
         mode=scheduler.mode,
-        preemptions=chip.preemptions,
-        continuous_joins=chip.continuous_joins,
+        preemptions=chip.batcher.preemptions,
+        continuous_joins=chip.batcher.joins,
         tenant_service_s=chip.tenant_service_s,
     )

@@ -73,6 +73,20 @@ class TestCacheBehavior:
         # the bad entry was rewritten: a third run hits again
         assert ExperimentRunner(tmp_path, jobs=1).run("fig17").cache_hit
 
+    def test_engine_mode_change_misses(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "kernel")
+        kernel = ExperimentRunner(tmp_path, jobs=1).run("fig17")
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        fast = ExperimentRunner(tmp_path, jobs=1).run("fig17")
+        assert kernel.ok and fast.ok
+        assert not fast.cache_hit
+        assert fast.cache_key != kernel.cache_key
+        # each mode then hits its own entry; unset means fast
+        monkeypatch.delenv("REPRO_ENGINE")
+        assert ExperimentRunner(tmp_path, jobs=1).run("fig17").cache_hit
+        monkeypatch.setenv("REPRO_ENGINE", "kernel")
+        assert ExperimentRunner(tmp_path, jobs=1).run("fig17").cache_hit
+
     def test_no_persistence_without_artifacts_root(self, tmp_path):
         runner = ExperimentRunner(artifacts_root=None)
         outcome = runner.run("fig17")

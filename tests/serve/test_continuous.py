@@ -14,6 +14,8 @@ from repro.serve import (
     SchedulerConfig,
     StageEntry,
     TenantSpec,
+    assign_priorities,
+    assign_tenants,
     poisson_arrivals,
     request_profile,
     simulate_serving,
@@ -63,9 +65,18 @@ def drain(sched, group=(), max_steps=100_000):
 
 
 class TestConfig:
-    def test_requires_continuous_mode(self, profiles):
-        with pytest.raises(ValueError, match="continuous"):
-            ContinuousBatchScheduler(SchedulerConfig(), profiles)
+    def test_static_mode_quantum_is_whole_program(self, profiles):
+        sched = ContinuousBatchScheduler(
+            SchedulerConfig(max_batch=2), profiles, (TenantSpec("acme"),)
+        )
+        entries = [sched.add(request(i, tenant="acme")) for i in range(2)]
+        group, stage, _, _ = sched.select([])
+        assert stage == 0
+        assert group == entries
+        assert all(e.total_stages == 1 for e in entries)
+        assert sched.stage_done(group, stage, 1.0) == entries
+        single = profiles[MODEL].single_latency_s
+        assert sched.service_s["acme"] == pytest.approx(2 * single, rel=1e-12)
 
     def test_policy_name(self):
         assert SchedulerConfig(mode="continuous").policy == "continuous"
@@ -275,6 +286,36 @@ class TestSimulation:
             )
             assert all(r.tenant == "acme" for r in report.requests)
             assert all(r.priority == 1 for r in report.requests)
+
+    def test_static_mode_is_blind_to_priority_and_tenant(self, profiles):
+        merged = sorted(
+            poisson_arrivals(20, 6000.0, MODEL, seed=5)
+            + poisson_arrivals(20, 6000.0, "model1", seed=6),
+            key=lambda r: r.arrival_s,
+        )
+        plain = [
+            Request(index=i, model=r.model, arrival_s=r.arrival_s)
+            for i, r in enumerate(merged)
+        ]
+        tagged = assign_tenants(
+            assign_priorities(plain, "0:1+1:1+2:1", seed=2),
+            "gold:3+silver:1", seed=2,
+        )
+        assert len({r.priority for r in tagged}) > 1
+        assert len({r.tenant for r in tagged}) > 1
+        config = SchedulerConfig(max_batch=4, max_inflight=2)
+        blind = simulate_serving(plain, config, profiles=profiles)
+        aware = simulate_serving(
+            tagged, config, profiles=profiles,
+            tenants=(TenantSpec("gold", 3.0), TenantSpec("silver", 1.0)),
+        )
+
+        def times(report):
+            return sorted(
+                (r.index, r.start_s, r.finish_s) for r in report.requests
+            )
+
+        assert times(aware) == times(blind)
 
     def test_deterministic(self, profiles):
         requests = poisson_arrivals(50, 4000.0, MODEL, seed=7)

@@ -13,8 +13,13 @@ properties pin what reordering must never change:
   checkpointed stage; its executed-stage log is exactly
   ``0..total_stages-1`` in order, each stage once;
 * **WFQ fairness** — under a standing two-tenant backlog, cumulative
-  virtual service per weight stays within a stage quantum of equal.
+  virtual service per weight stays within a stage quantum of equal;
+* **static oracle** — in static mode (one whole-program quantum per
+  request) the selected groups are exactly :func:`take_batch`'s batches,
+  whatever the priorities and tenants.
 """
+
+from collections import deque
 
 import pytest
 
@@ -30,6 +35,7 @@ from repro.serve import (  # noqa: E402
     poisson_arrivals,
     request_profile,
     simulate_serving,
+    take_batch,
 )
 
 MODEL = "model4"
@@ -162,3 +168,58 @@ def test_wfq_virtual_service_within_one_quantum(gold_weight, silver_weight):
             sched.service_s[t.name] / t.weight for t in specs
         ]
         assert abs(normalized[0] - normalized[1]) <= quantum + 1e-12
+
+
+STATIC_MODELS = ("model1", MODEL)
+ops_strategy = st.lists(
+    st.one_of(
+        st.none(),  # a lane dispatches (when anything is pending)
+        st.tuples(  # a request arrives
+            st.sampled_from(STATIC_MODELS),
+            st.integers(min_value=0, max_value=2),
+            st.sampled_from(["", "gold", "silver"]),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=ops_strategy, max_batch=st.integers(min_value=1, max_value=8))
+def test_static_select_matches_take_batch(ops, max_batch):
+    """Static-mode groups equal repeated ``take_batch`` batches.
+
+    Arrivals interleave with dispatches; priorities and tenants are drawn
+    (with WFQ weights configured) and must not change the order.
+    """
+    profs = {
+        model: request_profile(model, passes=PASSES) for model in STATIC_MODELS
+    }
+    sched = ContinuousBatchScheduler(
+        SchedulerConfig(max_batch=max_batch),
+        profs,
+        (TenantSpec("gold", 3.0), TenantSpec("silver", 1.0)),
+    )
+    pending: deque[Request] = deque()
+    # trailing dispatches drain both queues
+    for index, op in enumerate(ops + [None] * len(ops)):
+        if op is None:
+            if not pending:
+                assert sched.empty
+                continue
+            batch = take_batch(pending, max_batch)
+            group, stage, preempted, joined = sched.select([])
+            assert [e.request for e in group] == batch
+            assert stage == 0 and not preempted and joined == 0
+            assert sched.stage_done(group, stage, 0.0) == group
+        else:
+            model, priority, tenant = op
+            request = Request(
+                index=index, model=model,
+                arrival_s=0.0, tenant=tenant, priority=priority,
+            )
+            pending.append(request)
+            sched.add(request)
+        assert sched.queue_depth == len(pending)
+    assert sched.empty and not pending
