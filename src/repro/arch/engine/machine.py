@@ -123,7 +123,8 @@ class BishopMachine:
     pass a unique ``name`` and every resource is registered under the
     ``<name>.<unit>`` namespace, so chips contend only with themselves.
     With ``name=None`` (the single-chip default) resource names stay bare,
-    which is what the zoo regression oracle and ``repro.serve`` pin.
+    which is what the zoo regression oracle pins.  Serving always names
+    its chips: ``repro.serve.simulate_serving`` runs ``chip0``.
     """
 
     RESOURCE_NAMES = ("dense_core", "sparse_core", "attention_core", "spike_gen", "dram")

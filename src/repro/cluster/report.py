@@ -1,9 +1,11 @@
 """Cluster-level results: per-chip and fleet-aggregate statistics.
 
 Reuses the serving layer's percentile machinery
-(:func:`repro.serve.report.latency_stats`) so single-chip and cluster
-reports quote identical statistics, and stays well-defined on degenerate
-outcomes (a fully-shed stream reports zeros, not errors).
+(:func:`repro.serve.report.latency_stats`) and stays well-defined on
+degenerate outcomes (a fully-shed stream reports zeros, not errors).
+:func:`build_sharded_cluster_report` is the one report builder of every
+serving entry — the single-chip ``ServingReport`` is read off its
+one-chip result.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arch.engine.timeline import EngineRun
+from ..arch.energy import EnergyModel
 from ..serve.report import ServedRequest, latency_stats, slo_block
 from ..serve.sketch import LatencySketch
 from ..serve.workload import TenantSpec
@@ -44,6 +47,9 @@ class ChipReport:
     active_span_s: float
     added_s: float                    # 0.0 for the initial fleet
     drained: bool
+    # Scheduler counters; read by simulate_serving, not serialized.
+    preemptions: int = 0
+    continuous_joins: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -123,6 +129,8 @@ class ShardChipStats:
     started_s: float
     accepting: bool
     drained_s: float | None
+    preemptions: int = 0
+    continuous_joins: int = 0
 
     def active_span_s(self, horizon_s: float) -> float:
         end = horizon_s
@@ -274,27 +282,37 @@ class ClusterReport:
         return payload
 
 
+# Relative slack of the busy <= capacity x active-span invariant.
+_UTIL_EPS = 1e-9
+
+
 def _chip_row(
-    stats: ShardChipStats, horizon_s: float, static_pj_per_s: float
+    stats: ShardChipStats, horizon_s: float, energy: EnergyModel
 ) -> ChipReport:
     span = stats.active_span_s(horizon_s)
+    utilization: dict[str, float] = {}
+    for unit, busy in stats.busy_s.items():
+        capacity = stats.capacity.get(unit, 1)
+        if busy > capacity * span * (1.0 + _UTIL_EPS):
+            raise RuntimeError(
+                f"chip {stats.name}: {unit} busy {busy!r} s exceeds"
+                f" capacity {capacity} x active span {span!r} s"
+            )
+        utilization[unit] = busy / (span * capacity) if span > 0 else 0.0
     return ChipReport(
         name=stats.name,
         kind=stats.kind,
         models=stats.models,
         requests_served=stats.requests_served,
         mean_batch_size=stats.mean_batch_size,
-        utilization={
-            unit: (
-                busy / (span * stats.capacity.get(unit, 1)) if span > 0 else 0.0
-            )
-            for unit, busy in stats.busy_s.items()
-        },
+        utilization=utilization,
         dynamic_energy_mj=stats.dynamic_energy_pj * 1e-9,
-        static_energy_mj=static_pj_per_s * span * 1e-9,
+        static_energy_mj=energy.static_pj(span) * 1e-9,
         active_span_s=span,
         added_s=stats.started_s,
         drained=stats.drained_s is not None and not stats.accepting,
+        preemptions=stats.preemptions,
+        continuous_joins=stats.continuous_joins,
     )
 
 
@@ -312,7 +330,7 @@ def build_sharded_cluster_report(
     queue_capacity: int | None,
     initial_chips: int,
     scaling_events: list[ScalingEvent],
-    static_pj_per_s: float,
+    energy: EnergyModel,
     num_shards: int,
     window_s: float | None,
     windows: list[WindowStats],
@@ -338,6 +356,10 @@ def build_sharded_cluster_report(
     shed the run recorded; ``shed_total`` / ``shed_by_model`` count them
     all.  A given ``run`` gets the serving horizon as its makespan and
     the chips' dynamic + powered-span static energy.
+
+    Raises ``RuntimeError`` when the latency source's count differs from
+    the chips' served total, or when a chip's unit was busy longer than
+    its capacity over the chip's active span.
     """
     if requests is not None:
         stats = latency_stats([r.latency_s for r in requests])
@@ -348,13 +370,25 @@ def build_sharded_cluster_report(
         tenant_latency = {}
         for record in requests:
             if record.tenant:
-                tenant_latency.setdefault(
-                    record.tenant, LatencySketch()
-                ).add(record.latency_s)
+                sketch = tenant_latency.get(record.tenant)
+                if sketch is None:
+                    sketch = tenant_latency[record.tenant] = LatencySketch()
+                sketch.add(record.latency_s)
     else:
         stats = latency_stats(latency)
         wait_mean_ms = wait.mean_s * 1e3
     served = stats.count
+    chips_served = sum(chip.requests_served for chip in chip_stats)
+    if served != chips_served:
+        per_chip = ", ".join(
+            f"{chip.name} {chip.requests_served}" for chip in chip_stats[:8]
+        )
+        raise RuntimeError(
+            f"latency {'records' if requests is not None else 'sketch'}"
+            f" count {served} != {chips_served} served by"
+            f" {len(chip_stats)} chips ({per_chip}"
+            f"{', ...' if len(chip_stats) > 8 else ''})"
+        )
     tenant_shed = dict(tenant_shed or {})
     tenant_sketches = {
         spec.name: LatencySketch() for spec in tenants
@@ -367,13 +401,13 @@ def build_sharded_cluster_report(
             tenant_shed,
             dict(tenant_service_s or {}),
         )
-        if tenants or tenant_sketches or tenant_shed
+        if tenant_sketches or tenant_shed
         else {}
     )
     chip_reports = {
         report.name: report
         for report in (
-            _chip_row(chip, horizon_s, static_pj_per_s)
+            _chip_row(chip, horizon_s, energy)
             for chip in chip_stats
         )
     }
@@ -381,7 +415,7 @@ def build_sharded_cluster_report(
         run.makespan_s = horizon_s
         run.energy_pj = sum(
             chip.dynamic_energy_pj
-            + static_pj_per_s * chip.active_span_s(horizon_s)
+            + energy.static_pj(chip.active_span_s(horizon_s))
             for chip in chip_stats
         )
     slo = None

@@ -21,12 +21,14 @@ every chip per request.  This module partitions the fleet into
   digests — running the autoscaler control loop and the SLO and alert
   monitors between windows.
 
-This is the only cluster simulator, with two entries.
+This is the only serving simulator, with three entries.
 :func:`simulate_cluster_sharded` runs K shards and never keeps
 per-request lists.  :func:`~repro.cluster.simulate_cluster` is the
 **one-shard** case: the whole fleet in one inline shard, one window per
 autoscale interval (or one window spanning the arrival stream), with
 exact per-request records, shed records and the engine run kept.
+:func:`~repro.serve.simulate_serving` is that case on a fleet of one
+``standard`` chip, with explicit per-model profiles allowed.
 
 Chips are dealt round-robin (not in contiguous blocks) so that, with
 ``num_shards`` dividing the fleet size, shard-level round-robin over
@@ -54,7 +56,7 @@ from ..arch.engine.kernel import Engine, Hold
 from ..arch.engine.machine import BishopMachine
 from ..arch.engine.timeline import EngineRun, TimelineEntry, merge_timelines
 from ..arch.energy import EnergyModel
-from ..serve.profiles import request_profile
+from ..serve.profiles import RequestProfile, request_profile
 from ..serve.report import ServedRequest
 from ..serve.scheduler import SchedulerConfig
 from ..serve.simulate import ChipServer
@@ -172,6 +174,9 @@ class ShardInit:
     # one-shard entry); fleet-scale shards stream into sketches instead.
     record: bool = False
     record_timeline: bool = False
+    # Explicit per-model profiles, used before compiling any (the
+    # one-chip simulate_serving entry).
+    _profiles: dict[str, RequestProfile] | None = None
 
 
 @dataclass(frozen=True)
@@ -253,9 +258,7 @@ class ShardState:
         # between coordination windows); sketches are cumulative and merge
         # exactly across shards at finalize.
         self.tenant_admission = TenantAdmission(init.tenants)
-        self.tenant_latency: dict[str, LatencySketch] = {
-            spec.name: LatencySketch() for spec in init.tenants
-        }
+        self.tenant_latency: dict[str, LatencySketch] = {}
         self.tenant_shed: dict[str, int] = {}
         self._window_latencies: list[float] = []
         self._window_waits: list[float] = []
@@ -281,8 +284,9 @@ class ShardState:
     ) -> ChipServer:
         init = self.init
         config = chip_config(kind, init.bs_t, init.bs_n)
+        explicit = init._profiles or {}
         profiles = {
-            model: request_profile(
+            model: explicit.get(model) or request_profile(
                 model, seed=init.seed, config=config, passes=init.passes
             )
             for model in models
@@ -311,9 +315,9 @@ class ShardState:
         if record.finish_s > self.last_finish_s:
             self.last_finish_s = record.finish_s
         if record.tenant:
-            sketch = self.tenant_latency.setdefault(
-                record.tenant, LatencySketch()
-            )
+            sketch = self.tenant_latency.get(record.tenant)
+            if sketch is None:
+                sketch = self.tenant_latency[record.tenant] = LatencySketch()
             sketch.add(record.latency_s)
         if self.records is not None:
             self.records.append(record)
@@ -450,11 +454,14 @@ class ShardState:
             )
         chips = tuple(
             ShardChipStats(
-                name=chip.name or "chip",
+                name=chip.name,
                 kind=chip.kind,
                 models=tuple(sorted(chip.profiles)),
                 requests_served=chip.served_count,
-                mean_batch_size=chip.mean_batch_size,
+                mean_batch_size=(
+                    chip.batch_size_weighted / chip.served_count
+                    if chip.served_count else 0.0
+                ),
                 busy_s={
                     unit: resource.stats.busy_s
                     for unit, resource in chip.machine.resources.items()
@@ -467,12 +474,14 @@ class ShardState:
                 started_s=chip.started_s,
                 accepting=chip.accepting,
                 drained_s=chip.drained_s,
+                preemptions=chip.batcher.preemptions,
+                continuous_joins=chip.batcher.joins,
             )
             for chip in self.chips
         )
         tenant_service: dict[str, float] = {}
         for chip in self.chips:
-            for tenant, service in chip.tenant_service_s.items():
+            for tenant, service in chip.batcher.service_s.items():
                 if tenant:
                     tenant_service[tenant] = (
                         tenant_service.get(tenant, 0.0) + service
@@ -636,7 +645,7 @@ def _coordinate(
     policy: str | RoutingPolicy,
     admission: AdmissionConfig,
     autoscale: AutoscaleConfig | None,
-    sharding: ShardingConfig,
+    sharding: ShardingConfig | None,
     energy: EnergyModel,
     *,
     bs_t: int,
@@ -649,16 +658,20 @@ def _coordinate(
     burn_rules: tuple | None = None,
     alerts: bool = False,
     detectors: list | None = None,
-    record: bool = False,
     record_timeline: bool = False,
+    profiles: dict[str, RequestProfile] | None = None,
 ) -> ClusterReport:
-    """The window coordinator behind both cluster entries.
+    """The window coordinator behind every serving entry.
 
-    ``record`` keeps exact per-request and shed records and the engine
-    run (``record_timeline`` adds its timeline), and leaves the window
-    series out of the report — the one-shard
-    :func:`~repro.cluster.simulate_cluster` entry, whose ``policy`` may be
-    a :class:`RoutingPolicy` instance because its shard runs inline.
+    ``sharding=None`` is the one-shard recording run of
+    :func:`~repro.cluster.simulate_cluster` and
+    :func:`~repro.serve.simulate_serving`: the whole fleet in one inline
+    shard, one window per autoscale interval (else one window spanning
+    the arrivals), keeping exact per-request and shed records and the
+    engine run (``record_timeline`` adds its timeline) and leaving the
+    window series out of the report.  Its ``policy`` may be a
+    :class:`RoutingPolicy` instance because the shard runs inline, and
+    ``profiles`` (explicit per-model profiles) reach its chips.
     """
     # Imported here: repro.runtime imports the harness registry, which
     # imports this package — runtime access must be deferred to call time.
@@ -668,6 +681,16 @@ def _coordinate(
     models = tuple(sorted({r.model for r in stream}))
     if models:
         fleet.validate_placement(models)
+    record = sharding is None
+    if record:
+        # Without an autoscaler every arrival lands in window 0 and later
+        # windows only drain.
+        last = stream[-1].arrival_s if stream else 0.0
+        sharding = ShardingConfig(
+            num_shards=1,
+            window_s=autoscale.interval_s if autoscale else max(2 * last, 1.0),
+            jobs=1,
+        )
     num_shards = sharding.num_shards
     shards = partition_fleet(fleet, num_shards)
 
@@ -688,6 +711,7 @@ def _coordinate(
             tenants=tuple(tenants),
             record=record,
             record_timeline=record_timeline,
+            _profiles=profiles,
         )
         for index, shard in enumerate(shards)
     ]
@@ -703,7 +727,11 @@ def _coordinate(
         for shard in shards
     ]
     accepting = [len(shard) for shard in shards]
-    estimates = _service_estimates(fleet, models, bs_t, bs_n, seed, passes)
+    # A lone shard routes every arrival itself and never reads estimates.
+    estimates = (
+        _service_estimates(fleet, models, bs_t, bs_n, seed, passes)
+        if num_shards > 1 else {}
+    )
     router = _ShardRouter(sharding.shard_policy, num_shards, estimates)
 
     shed_records: list[ShedRecord] = []
@@ -920,19 +948,17 @@ def _coordinate(
 
     served = sum(final.served for final in finals)
     shard_shed = sum(final.shed for final in finals)
-    tenant_latency: dict[str, LatencySketch] = {
-        spec.name: LatencySketch() for spec in tenants
-    }
+    # Declared tenants without traffic get their rows from the builder.
+    tenant_latency: dict[str, LatencySketch] = {}
     tenant_shed_totals: dict[str, int] = {}
-    tenant_service_totals: dict[str, float] = {
-        spec.name: 0.0 for spec in tenants
-    }
+    tenant_service_totals: dict[str, float] = {}
     for final in finals:
         for model, count in final.shed_by_model.items():
             shed_by_model[model] = shed_by_model.get(model, 0) + count
         for tenant, sketch in final.tenant_latency.items():
-            merged = tenant_latency.setdefault(tenant, LatencySketch())
-            merged.update(sketch)
+            if tenant not in tenant_latency:
+                tenant_latency[tenant] = LatencySketch()
+            tenant_latency[tenant].update(sketch)
         for tenant, count in final.tenant_shed.items():
             tenant_shed_totals[tenant] = (
                 tenant_shed_totals.get(tenant, 0) + count
@@ -984,7 +1010,7 @@ def _coordinate(
         queue_capacity=admission.queue_capacity,
         initial_chips=len(fleet),
         scaling_events=scaling_events,
-        static_pj_per_s=energy.static_pj(1.0),
+        energy=energy,
         num_shards=num_shards,
         window_s=None if record else sharding.window_s,
         windows=[] if record else windows,

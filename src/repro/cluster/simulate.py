@@ -21,7 +21,7 @@ from .autoscale import AutoscaleConfig
 from .fleet import FleetSpec
 from .report import ClusterReport
 from .routing import RoutingPolicy
-from .sharding import ShardingConfig, _coordinate
+from .sharding import _coordinate
 
 __all__ = ["ClusterSimulation", "simulate_cluster"]
 
@@ -84,23 +84,16 @@ class ClusterSimulation:
 
     def run(self, requests: list[Request]) -> ClusterReport:
         """Serve ``requests`` on the fleet; returns the cluster report."""
-        # Without an autoscaler every arrival lands in window 0 and later
-        # windows only drain.
-        last = max((r.arrival_s for r in requests), default=0.0)
-        window_s = (
-            self.autoscale.interval_s if self.autoscale else max(2 * last, 1.0)
-        )
         with obs.span(
             "cluster.run", cat="cluster",
             chips=len(self.fleet), requests=len(requests),
         ):
-            sharding = ShardingConfig(num_shards=1, window_s=window_s, jobs=1)
             return _coordinate(
                 requests, self.fleet, self.scheduler, self.policy,
-                self.admission, self.autoscale, sharding, self.energy,
+                self.admission, self.autoscale, None, self.energy,
                 bs_t=self.bs_t, bs_n=self.bs_n, seed=self.seed,
                 passes=self.passes, tenants=self.tenants,
-                record=True, record_timeline=self.record_timeline,
+                record_timeline=self.record_timeline,
             )
 
 

@@ -72,33 +72,29 @@ def latency_stats(
     simulation uses so fleet-scale runs never hold full latency lists.
     """
     if isinstance(latencies_s, LatencySketch):
-        sketch = latencies_s
-        if sketch.count == 0:
-            return LatencyStats(
-                count=0,
-                mean_ms=0.0,
-                max_ms=0.0,
-                percentiles_ms={f"p{p}": 0.0 for p in PERCENTILES},
-            )
-        return LatencyStats(
-            count=sketch.count,
-            mean_ms=sketch.mean_s * 1e3,
-            max_ms=sketch.max_s * 1e3,
-            percentiles_ms={
-                f"p{p}": sketch.percentile(p) * 1e3 for p in PERCENTILES
-            },
-        )
-    samples = np.asarray(latencies_s, dtype=float)
-    if samples.size == 0:
+        sketch, count = latencies_s, latencies_s.count
+    else:
+        samples = np.asarray(latencies_s, dtype=float)
+        sketch, count = None, int(samples.size)
+    if count == 0:
         return LatencyStats(
             count=0,
             mean_ms=0.0,
             max_ms=0.0,
             percentiles_ms={f"p{p}": 0.0 for p in PERCENTILES},
         )
+    if sketch is not None:
+        return LatencyStats(
+            count=count,
+            mean_ms=sketch.mean_s * 1e3,
+            max_ms=sketch.max_s * 1e3,
+            percentiles_ms={
+                f"p{p}": sketch.percentile(p) * 1e3 for p in PERCENTILES
+            },
+        )
     values = np.percentile(samples, PERCENTILES)
     return LatencyStats(
-        count=int(samples.size),
+        count=count,
         mean_ms=float(samples.mean()) * 1e3,
         max_ms=float(samples.max()) * 1e3,
         percentiles_ms={
@@ -117,7 +113,7 @@ class ServedRequest:
     start_s: float       # dispatch time (batch formed, chip slot granted)
     finish_s: float
     batch_size: int      # continuous mode: largest group the request ran in
-    chip: str = ""       # serving chip (cluster runs; "" on a lone chip)
+    chip: str = ""       # serving chip name ("chip0" under simulate_serving)
     tenant: str = ""     # owning tenant ("" for single-tenant streams)
     priority: int = 0    # scheduling tier
     preemptions: int = 0  # times displaced at a stage boundary (continuous)
@@ -133,7 +129,8 @@ class ServedRequest:
 
 @dataclass
 class ServingReport:
-    """Aggregate view of one serving simulation."""
+    """Aggregate view of one single-chip serving simulation (read off the
+    one-chip cluster report by :func:`~repro.serve.simulate_serving`)."""
 
     num_requests: int
     offered_rps: float           # arrival rate of the generated stream
@@ -203,47 +200,3 @@ class ServingReport:
             }
         return payload
 
-
-def build_report(
-    served: list[ServedRequest],
-    run: EngineRun,
-    offered_rps: float,
-    dynamic_energy_pj: float,
-    static_energy_pj: float,
-    policy: str,
-    max_batch: int,
-    max_inflight: int,
-    mode: str = "static",
-    preemptions: int = 0,
-    continuous_joins: int = 0,
-    tenant_service_s: dict[str, float] | None = None,
-) -> ServingReport:
-    served = sorted(served, key=lambda r: r.index)
-    stats = latency_stats([r.latency_s for r in served])
-    waits = np.array([r.queue_wait_s for r in served])
-    horizon = max((r.finish_s for r in served), default=0.0)
-    return ServingReport(
-        num_requests=len(served),
-        offered_rps=offered_rps,
-        horizon_s=horizon,
-        throughput_rps=len(served) / horizon if horizon else 0.0,
-        latency_percentiles_ms=stats.percentiles_ms,
-        latency_mean_ms=stats.mean_ms,
-        latency_max_ms=stats.max_ms,
-        queue_wait_mean_ms=float(waits.mean()) * 1e3 if served else 0.0,
-        mean_batch_size=(
-            float(np.mean([r.batch_size for r in served])) if served else 0.0
-        ),
-        utilization={k: float(v) for k, v in run.utilization().items()},
-        dynamic_energy_mj=dynamic_energy_pj * 1e-9,
-        static_energy_mj=static_energy_pj * 1e-9,
-        policy=policy,
-        max_batch=max_batch,
-        max_inflight=max_inflight,
-        mode=mode,
-        preemptions=preemptions,
-        continuous_joins=continuous_joins,
-        tenant_service_s=dict(tenant_service_s or {}),
-        requests=tuple(served),
-        run=run,
-    )

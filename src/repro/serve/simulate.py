@@ -9,29 +9,35 @@ cores, the spike generator, and the DRAM channel.  The scheduler mode
 only sizes the quantum: the whole compiled program in static mode (a
 batch runs to completion), one compiled stage in continuous mode.
 
-:func:`simulate_serving` wires ONE chip server to an arrival stream — the
-N=1 special case of the cluster simulation (``repro.cluster``), which
-routes the same streams across many chip servers sharing one engine
-clock.  The output is a :class:`~repro.serve.report.ServingReport`:
-latency percentiles, throughput, queue waits, per-resource utilization,
-and chip energy (dynamic per work done + static over the horizon).
+There is one serving path.  Every chip server is built and fed by a
+shard of the cluster coordinator (:mod:`repro.cluster.sharding`), and
+:func:`simulate_serving` is its one-chip case: a fleet of one
+``standard`` chip (``chip0``) in one inline shard, whose cluster report
+is re-read as a :class:`~repro.serve.report.ServingReport` — latency
+percentiles, throughput, queue waits, per-resource utilization, and chip
+energy (dynamic per work done + static over the horizon).  One chip and
+a fleet therefore share one engine wiring, one report builder and one
+set of end-of-run checks (served + shed == offered, sketch count ==
+served, busy <= capacity x span, the stall guard).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .. import obs
-from ..arch.engine.kernel import Engine, Hold, WaitFor
+from ..arch.engine.kernel import Engine, WaitFor
 from ..arch.engine.machine import (
     BishopMachine,
     inference_process,
     scheduled_inference_process,
     stage_process,
 )
-from ..arch.engine.timeline import EngineRun, TimelineEntry
+from ..arch.engine.timeline import TimelineEntry
 from ..arch.energy import EnergyModel
 from .continuous import ContinuousBatchScheduler, StageEntry
-from .profiles import RequestProfile, request_profile
-from .report import ServedRequest, ServingReport, build_report
+from .profiles import RequestProfile
+from .report import ServedRequest, ServingReport
 from .scheduler import SchedulerConfig
 from .workload import Request, TenantSpec
 
@@ -44,10 +50,11 @@ class ChipServer:
     The server owns the mutable serving state of a single
     :class:`~repro.arch.engine.machine.BishopMachine` — the ready pool
     (optionally bounded, for admission control), the in-flight count, the
-    per-request completion records, and the chip's dynamic energy.  The
-    cluster router talks to it through :meth:`enqueue` /
-    :meth:`has_queue_capacity` / :attr:`outstanding_s`; the single-chip
-    simulator feeds it directly from the arrival stream.
+    completion counters, and the chip's dynamic energy.  A cluster shard
+    builds every chip server: its router talks to it through
+    :meth:`enqueue` / :meth:`has_queue_capacity` / :attr:`outstanding_s`,
+    and each completion streams to the shard as a ``ServedRequest``
+    through ``recorder.observe(record)``.
     """
 
     def __init__(
@@ -55,40 +62,29 @@ class ChipServer:
         engine: Engine,
         machine: BishopMachine,
         profiles: dict[str, RequestProfile],
-        scheduler: SchedulerConfig | None = None,
+        scheduler: SchedulerConfig,
         *,
-        name: str | None = None,
+        name: str,
+        recorder: object,
         kind: str = "standard",
         queue_capacity: int | None = None,
         timeline: list[TimelineEntry] | None = None,
-        recorder: "object | None" = None,
         tenants: tuple[TenantSpec, ...] = (),
     ):
-        if queue_capacity is not None and queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1 (or None: unbounded)")
         self.engine = engine
         self.machine = machine
         self.profiles = profiles
-        self.scheduler = scheduler or SchedulerConfig()
+        self.scheduler = scheduler
         self.name = name
         self.kind = kind
-        self.queue_capacity = queue_capacity
+        self.queue_capacity = queue_capacity   # validated by AdmissionConfig
         self.timeline = timeline
-        # A recorder replaces the per-request `served` list with streaming
-        # observation (``recorder.observe(record)``) — how shard simulators
-        # keep memory bounded.  The summary counters below are maintained
-        # either way.
         self.recorder = recorder
-        self.tenants = tuple(tenants)
-
-        self.batcher = ContinuousBatchScheduler(
-            self.scheduler, profiles, self.tenants
-        )
+        self.batcher = ContinuousBatchScheduler(scheduler, profiles, tenants)
         self.work = engine.gate()
         self.inflight = 0
-        self.served: list[ServedRequest] = []
         self.served_count = 0
-        self.batch_size_weighted = 0.0   # Σ batch² (per-request mean weighting)
+        self.batch_size_weighted = 0.0   # Σ per-request batch size
         self.dynamic_energy_pj = 0.0
         self.outstanding_s = 0.0     # estimated queued + in-flight work
         self.accepting = True        # routing eligibility (autoscaler drain)
@@ -97,7 +93,7 @@ class ChipServer:
         self.drained_s: float | None = None
         self._lanes = 0
         self._process = engine.spawn(
-            self._schedule_loop(), name=f"{name or 'chip'}:scheduler"
+            self._schedule_loop(), name=f"{name}:scheduler"
         )
 
     # -- router-facing interface ------------------------------------------
@@ -110,13 +106,6 @@ class ChipServer:
     @property
     def queue_depth(self) -> int:
         return self.batcher.queue_depth
-
-    @property
-    def tenant_service_s(self) -> dict[str, float]:
-        """Per-tenant service seconds delivered by this chip (serial
-        stage-seconds executed in continuous mode; uncontended request
-        seconds completed in static mode) — the WFQ fairness measure."""
-        return dict(self.batcher.service_s)
 
     def service_estimate_s(self, model: str) -> float:
         """Uncontended single-request latency of ``model`` on this chip."""
@@ -140,14 +129,6 @@ class ChipServer:
     def idle(self) -> bool:
         return self.batcher.empty and self.inflight == 0
 
-    @property
-    def mean_batch_size(self) -> float:
-        """Per-request mean batch size (each request weighted equally,
-        matching the ServedRequest-list definition)."""
-        if not self.served_count:
-            return 0.0
-        return self.batch_size_weighted / self.served_count
-
     # -- serving processes -------------------------------------------------
     def _schedule_loop(self):
         # Lanes are the chip's inference slots: each runs one execution
@@ -162,7 +143,7 @@ class ChipServer:
                 self.inflight += 1
                 lane = self._lanes
                 self._lanes += 1
-                name = f"{self.name or 'chip'}:lane{lane}"
+                name = f"{self.name}:lane{lane}"
                 self.engine.spawn(self._run_lane(), name=name)
                 continue
             if self.closed and self.batcher.empty:
@@ -175,9 +156,6 @@ class ChipServer:
         # still running, so the last lane also checks.
         if self.closed and self.idle and self.drained_s is None:
             self.drained_s = self.engine.now
-
-    def _label(self, label: str) -> str:
-        return f"{self.name}/{label}" if self.name else label
 
     def _run_lane(self):
         """One inference slot.
@@ -199,11 +177,11 @@ class ChipServer:
                     request=entry.request.index,
                     priority=entry.request.priority,
                     resume_stage=entry.completed,
-                    chip=self.name or "",
+                    chip=self.name,
                 ):
                     pass
             if joined:
-                obs.inc("serve.continuous_joins")
+                obs.inc("serve.continuous_joins", joined)
             if not group:
                 break
             head = group[0]
@@ -214,11 +192,10 @@ class ChipServer:
                     entry.start_s = self.engine.now
             if self.scheduler.continuous:
                 timing = profile.timings[stage]
-                label = f"c{head.cohort}x{size}/L{stage}.{timing.kind}"
+                label = f"{self.name}/c{head.cohort}x{size}/L{stage}.{timing.kind}"
                 obs.inc("serve.stage_groups")
                 yield from stage_process(
-                    self.engine, self.machine, timing, self._label(label),
-                    size, self.timeline,
+                    self.engine, self.machine, timing, label, size, self.timeline
                 )
                 self.dynamic_energy_pj += timing.batch_dynamic_pj(size)
             else:
@@ -230,10 +207,10 @@ class ChipServer:
                     if profile.scheduled
                     else inference_process
                 )
-                label = f"b{head.request.index}x{size}"
+                label = f"{self.name}/b{head.request.index}x{size}"
                 yield from process(
-                    self.engine, self.machine, profile.timings,
-                    self._label(label), size, self.timeline,
+                    self.engine, self.machine, profile.timings, label, size,
+                    self.timeline,
                 )
                 obs.inc("serve.batches")
                 obs.observe("serve.batch_size", size)
@@ -256,17 +233,14 @@ class ChipServer:
                 start_s=entry.start_s,
                 finish_s=entry.finish_s,
                 batch_size=entry.max_group,
-                chip=self.name or "",
+                chip=self.name,
                 tenant=request.tenant,
                 priority=request.priority,
                 preemptions=entry.preemptions,
             )
             self.served_count += 1
             self.batch_size_weighted += float(entry.max_group)
-            if self.recorder is None:
-                self.served.append(record)
-            else:
-                self.recorder.observe(record)
+            self.recorder.observe(record)
             self.outstanding_s -= self.service_estimate_s(request.model)
 
 
@@ -284,6 +258,13 @@ def simulate_serving(
 ) -> ServingReport:
     """Serve an arrival stream on one Bishop chip; returns the report.
 
+    The one-chip case of the cluster coordinator: a fleet of one
+    ``standard`` chip named ``chip0`` in one inline recording shard, so
+    records carry ``chip == "chip0"`` and the engine run's resources and
+    timeline use ``chip0.<unit>`` names (``utilization`` keeps bare unit
+    keys).  A lone chip has no front door: every arrival is admitted and
+    tenant quotas are not enforced; tenants set the WFQ weights only.
+
     ``profiles`` may be passed explicitly (e.g. to serve custom task
     graphs) and then takes precedence over ``bs_t``/``bs_n``/``seed`` for
     the models it covers; by default each model's profile is compiled (and
@@ -291,62 +272,48 @@ def simulate_serving(
     selecting the compiler passes.  An empty stream yields an empty
     (all-zero) report rather than raising.
     """
+    # Imported here: repro.cluster imports this module.
+    from ..cluster.admission import AdmissionConfig
+    from ..cluster.fleet import homogeneous_fleet
+    from ..cluster.sharding import _coordinate
+
     scheduler = scheduler or SchedulerConfig()
-    energy = energy or EnergyModel()
-    stream = sorted(requests, key=lambda r: (r.arrival_s, r.index))
-    profiles = dict(profiles) if profiles else {}  # never mutate the caller's
     with obs.span(
         "serve.simulate", cat="serve",
-        requests=len(stream), policy=scheduler.policy,
+        requests=len(requests), policy=scheduler.policy,
     ):
-        for model in {r.model for r in stream}:
-            if model not in profiles:
-                profiles[model] = request_profile(
-                    model, bs_t=bs_t, bs_n=bs_n, seed=seed, passes=passes
-                )
-
-        engine = Engine()
-        machine = BishopMachine(engine)
-        timeline: list[TimelineEntry] | None = [] if record_timeline else None
-        chip = ChipServer(
-            engine, machine, profiles, scheduler,
-            timeline=timeline, tenants=tenants,
+        cluster = _coordinate(
+            requests, homogeneous_fleet(1), scheduler, "round_robin",
+            AdmissionConfig(), None, None, energy or EnergyModel(),
+            bs_t=bs_t, bs_n=bs_n, seed=seed, passes=passes,
+            tenants=tuple(replace(spec, quota=None) for spec in tenants),
+            record_timeline=record_timeline,
+            profiles=profiles,
         )
-        total = len(stream)
-
-        def arrivals():
-            for request in stream:
-                gap = request.arrival_s - engine.now
-                if gap > 0:
-                    yield Hold(gap)
-                chip.enqueue(request)
-            chip.close()
-
-        engine.spawn(arrivals(), name="arrivals")
-        engine.run()
-    if len(chip.served) != total:  # pragma: no cover - engine invariant
-        raise RuntimeError(
-            f"serving simulation stalled: {len(chip.served)}/{total} completed"
-        )
-
-    run = EngineRun.capture(engine, timeline=timeline)
-    run.energy_pj = chip.dynamic_energy_pj + energy.static_pj(run.makespan_s)
-    # Zero-span streams (empty, single request, simultaneous burst) have no
-    # meaningful rate; report 0 rather than infinity so artifacts stay
-    # strict-JSON parseable.
-    span = stream[-1].arrival_s - stream[0].arrival_s if stream else 0.0
-    offered = (total - 1) / span if span > 0 else 0.0
-    return build_report(
-        chip.served,
-        run,
-        offered_rps=offered,
-        dynamic_energy_pj=chip.dynamic_energy_pj,
-        static_energy_pj=energy.static_pj(run.makespan_s),
+    (chip,) = cluster.chips.values()
+    return ServingReport(
+        num_requests=cluster.served,
+        offered_rps=cluster.offered_rps,
+        horizon_s=cluster.horizon_s,
+        throughput_rps=cluster.throughput_rps,
+        latency_percentiles_ms=cluster.latency_percentiles_ms,
+        latency_mean_ms=cluster.latency_mean_ms,
+        latency_max_ms=cluster.latency_max_ms,
+        queue_wait_mean_ms=cluster.queue_wait_mean_ms,
+        mean_batch_size=chip.mean_batch_size,
+        utilization=chip.utilization,
+        dynamic_energy_mj=chip.dynamic_energy_mj,
+        static_energy_mj=chip.static_energy_mj,
         policy=scheduler.policy,
         max_batch=scheduler.max_batch,
         max_inflight=scheduler.max_inflight,
         mode=scheduler.mode,
-        preemptions=chip.batcher.preemptions,
-        continuous_joins=chip.batcher.joins,
-        tenant_service_s=chip.tenant_service_s,
+        preemptions=chip.preemptions,
+        continuous_joins=chip.continuous_joins,
+        tenant_service_s={
+            tenant: block["service_s"]
+            for tenant, block in cluster.tenants.items()
+        },
+        requests=cluster.requests,
+        run=cluster.run,
     )

@@ -5,9 +5,17 @@ import json
 
 import pytest
 
+from repro.arch.energy import EnergyModel
 from repro.arch.engine import Engine, EngineRun
-from repro.serve import Request, SchedulerConfig, latency_stats, simulate_serving
-from repro.serve.report import ServedRequest, build_report
+from repro.cluster import ShardChipStats, build_sharded_cluster_report
+from repro.serve import (
+    LatencySketch,
+    Request,
+    SchedulerConfig,
+    latency_stats,
+    simulate_serving,
+)
+from repro.serve.report import ServedRequest
 
 MODEL = "model4"
 
@@ -40,28 +48,46 @@ class TestLatencyStats:
         assert p["p50"] <= p["p90"] <= p["p95"] <= p["p99"] <= stats.max_ms
 
 
+def chip_stats(served, busy_s=0.0):
+    return ShardChipStats(
+        name="chip0", kind="standard", models=(MODEL,),
+        requests_served=served, mean_batch_size=float(bool(served)),
+        busy_s={"dense_core": busy_s}, capacity={"dense_core": 1},
+        dynamic_energy_pj=1.0 if served else 0.0,
+        started_s=0.0, accepting=True, drained_s=None,
+    )
+
+
+def record_report(requests, horizon_s):
+    """The record path of the one report builder (one-shard entries)."""
+    return build_sharded_cluster_report(
+        [chip_stats(len(requests))], 0, {}, [], LatencySketch(),
+        LatencySketch(), offered_rps=0.0, horizon_s=horizon_s,
+        policy="round_robin", queue_capacity=None, initial_chips=1,
+        scaling_events=[], energy=EnergyModel(), num_shards=1,
+        window_s=None, windows=[], requests=tuple(requests),
+        run=empty_run(),
+    )
+
+
 class TestBuildReportEdges:
     def test_empty_completion_list(self):
-        report = build_report(
-            [], empty_run(), offered_rps=0.0, dynamic_energy_pj=0.0,
-            static_energy_pj=0.0, policy="fifo", max_batch=1, max_inflight=1,
-        )
+        report = record_report([], horizon_s=0.0)
         assert report.num_requests == 0
         assert report.throughput_rps == 0.0
         assert report.latency_mean_ms == 0.0
+        assert report.queue_wait_mean_ms == 0.0
         assert report.energy_per_request_mj == 0.0
         json.dumps(report.to_dict(), allow_nan=False)
 
     def test_single_completion(self):
-        served = [ServedRequest(0, MODEL, 0.0, 0.0, 0.004, 1)]
-        report = build_report(
-            served, empty_run(), offered_rps=0.0, dynamic_energy_pj=1.0,
-            static_energy_pj=1.0, policy="fifo", max_batch=1, max_inflight=1,
-        )
+        served = [ServedRequest(0, MODEL, 0.0, 0.0, 0.004, 1, chip="chip0")]
+        report = record_report(served, horizon_s=0.004)
         assert report.num_requests == 1
         assert report.latency_percentiles_ms["p50"] == pytest.approx(4.0)
         assert report.latency_percentiles_ms["p99"] == pytest.approx(4.0)
         assert report.throughput_rps == pytest.approx(1 / 0.004)
+        json.dumps(report.to_dict(), allow_nan=False)
 
 
 class TestSimulateEdges:
